@@ -270,10 +270,14 @@ func BenchmarkEngineSampleWorld(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	smp, err := eng.NewSampler(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(7))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = eng.SampleWorld(rng)
+		_ = smp.SampleWorld(rng)
 	}
 }
 

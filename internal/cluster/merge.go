@@ -158,6 +158,7 @@ func mergeQuery(resps []*server.QueryResponse) *server.QueryResponse {
 		st.PrunedByUpper += add.PrunedByUpper
 		st.AcceptedByLower += add.AcceptedByLower
 		st.VerifyCandidates += add.VerifyCandidates
+		st.VerifyTruncated += add.VerifyTruncated
 		if add.RelaxedQueries > st.RelaxedQueries {
 			st.RelaxedQueries = add.RelaxedQueries
 		}

@@ -106,7 +106,11 @@ type Stats struct {
 	PrunedByUpper          int // Pruning 1 discards
 	AcceptedByLower        int // Pruning 2 direct accepts
 	VerifyCandidates       int // graphs sent to verification
-	Answers                int
+	// VerifyTruncated counts verified graphs whose DNF exceeded
+	// verify.Options.MaxClauses: SMP sampled only the most probable
+	// clauses, so their SSP is a lower bound.
+	VerifyTruncated int
+	Answers         int
 
 	RelaxedQueries int // |U|
 
@@ -183,11 +187,12 @@ func (v *View) QueryCtx(ctx context.Context, q *graph.Graph, opt QueryOptions) (
 // candOutcome is the per-candidate result of the fused pruning +
 // verification stage, written by exactly one worker.
 type candOutcome struct {
-	verdict judgement
-	ssp     float64
-	err     error
-	probT   time.Duration
-	verifyT time.Duration
+	verdict   judgement
+	ssp       float64
+	truncated bool // SMP truncated the DNF; ssp is a lower bound
+	err       error
+	probT     time.Duration
+	verifyT   time.Duration
 }
 
 // evalCandidate runs the fused probabilistic-pruning + verification stage
@@ -211,7 +216,7 @@ func (v *View) evalCandidate(q *graph.Graph, u []*graph.Graph, pr *pruner, gi in
 		return o
 	}
 	t := time.Now()
-	o.ssp, o.err = v.VerifySSP(q, u, gi, opt)
+	o.ssp, o.truncated, o.err = v.verifySSP(q, u, gi, opt)
 	o.verifyT = time.Since(t)
 	return o
 }
@@ -338,6 +343,9 @@ func (v *View) query(ctx context.Context, q *graph.Graph, opt QueryOptions, cach
 			res.SSP[gi] = -1
 		default:
 			res.Stats.VerifyCandidates++
+			if o.truncated {
+				res.Stats.VerifyTruncated++
+			}
 			if opt.Verifier == VerifierNone {
 				res.Answers = append(res.Answers, gi)
 				continue
@@ -367,22 +375,30 @@ func (db *Database) VerifySSP(q *graph.Graph, u []*graph.Graph, gi int, opt Quer
 
 // VerifySSP on a pinned View; see the Database method.
 func (v *View) VerifySSP(q *graph.Graph, u []*graph.Graph, gi int, opt QueryOptions) (float64, error) {
+	ssp, _, err := v.verifySSP(q, u, gi, opt)
+	return ssp, err
+}
+
+// verifySSP is VerifySSP also reporting whether SMP truncated the DNF.
+func (v *View) verifySSP(q *graph.Graph, u []*graph.Graph, gi int, opt QueryOptions) (ssp float64, truncated bool, err error) {
 	opt = opt.withDefaults()
 	clauses := v.collectClauses(u, gi, opt.MaxClausesPerRQ)
 	if len(clauses) == 0 {
-		return 0, nil
+		return 0, false, nil
 	}
 	eng, err := v.Engine(gi)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	switch opt.Verifier {
 	case VerifierExact:
-		return verify.Exact(eng, clauses, opt.Verify.MaxClauses)
+		ssp, err = verify.Exact(eng, clauses, opt.Verify.MaxClauses)
+		return ssp, false, err
 	default:
 		vo := opt.Verify
 		vo.Seed = candSeed(opt.Seed^verifySalt, v.GID(gi))
-		return verify.SMP(eng, clauses, vo)
+		r, err := verify.SMPReport(eng, clauses, vo)
+		return r.SSP, r.Truncated, err
 	}
 }
 

@@ -212,18 +212,24 @@ type graphBuilder struct {
 	pool []graph.EdgeSet
 }
 
-func (b *graphBuilder) worldPool() []graph.EdgeSet {
+// worldPool samples the pool on first use from a transient sampler, so the
+// engine the database caches never holds sampling tables.
+func (b *graphBuilder) worldPool() ([]graph.EdgeSet, error) {
 	if b.pool == nil {
-		n := b.opt.SampleN()
-		b.pool = make([]graph.EdgeSet, n)
-		scratch := make([]bool, b.pg.NumUncertain())
-		for i := range b.pool {
-			w := b.pg.NewWorld()
-			b.eng.SampleWorldInto(b.rng, w, scratch)
-			b.pool[i] = w
+		s, err := b.eng.NewSampler(nil)
+		if err != nil {
+			return nil, err
 		}
+		pool := make([]graph.EdgeSet, b.opt.SampleN())
+		scratch := make([]bool, s.NumUncertain())
+		for i := range pool {
+			w := b.pg.NewWorld()
+			s.SampleWorldInto(b.rng, w, scratch)
+			pool[i] = w
+		}
+		b.pool = pool
 	}
-	return b.pool
+	return b.pool, nil
 }
 
 // bounds computes the PMI entry for one contained feature.
@@ -281,8 +287,12 @@ func (b *graphBuilder) condProb(base graph.EdgeSet, others []graph.EdgeSet, pres
 		}
 		return true
 	}
+	worlds, err := b.worldPool()
+	if err != nil {
+		return 0, err
+	}
 	n1, n2 := 0, 0
-	for _, w := range b.worldPool() {
+	for _, w := range worlds {
 		anyOther := false
 		for _, o := range others {
 			if holds(w, o) {

@@ -151,6 +151,13 @@ func (pg *PGraph) NumUncertain() int { return len(pg.uncertain) }
 // returned slice must not be modified.
 func (pg *PGraph) UncertainEdges() []graph.EdgeID { return pg.uncertain }
 
+// VarOf returns edge e's variable index — its position in UncertainEdges
+// and in a Sampler's assignment — and whether e is uncertain.
+func (pg *PGraph) VarOf(e graph.EdgeID) (int, bool) {
+	v, ok := pg.varOf[e]
+	return v, ok
+}
+
 // IsUncertain reports whether edge e is covered by some JPT.
 func (pg *PGraph) IsUncertain(e graph.EdgeID) bool {
 	_, ok := pg.varOf[e]

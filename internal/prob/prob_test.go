@@ -1,8 +1,10 @@
 package prob
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -185,9 +187,13 @@ func TestCertainEdgesAlwaysPresent(t *testing.T) {
 			t.Fatalf("certain edge %d marginal = %v, want 1", ed, p)
 		}
 	}
+	smp, err := eng.NewSampler(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20; i++ {
-		w := eng.SampleWorld(rng)
+		w := smp.SampleWorld(rng)
 		if !w.Contains(0) || !w.Contains(2) {
 			t.Fatal("sampled world missing certain edge")
 		}
@@ -272,12 +278,16 @@ func TestSamplingMatchesMarginals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	smp, err := eng.NewSampler(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const N = 40000
 	counts := make([]int, pg.G.NumEdges())
 	world := pg.NewWorld()
 	scratch := make([]bool, pg.NumUncertain())
 	for i := 0; i < N; i++ {
-		eng.SampleWorldInto(rng, world, scratch)
+		smp.SampleWorldInto(rng, world, scratch)
 		for e := 0; e < pg.G.NumEdges(); e++ {
 			if world.Contains(graph.EdgeID(e)) {
 				counts[e]++
@@ -305,7 +315,7 @@ func TestConditionedSampling(t *testing.T) {
 	}
 	target := pg.UncertainEdges()[0]
 	ev := []Literal{{Edge: target, Present: true}}
-	cond, err := eng.NewConditioned(ev)
+	smp, err := eng.NewSampler(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +324,8 @@ func TestConditionedSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(cond.ProbEvidence()-want) > 1e-9 {
-		t.Fatalf("evidence mass %v, marginal %v", cond.ProbEvidence(), want)
+	if math.Abs(smp.Z()/eng.Z()-want) > 1e-9 {
+		t.Fatalf("evidence mass %v, marginal %v", smp.Z()/eng.Z(), want)
 	}
 	// Every sampled world satisfies the evidence; other-edge frequencies
 	// match exact conditionals.
@@ -326,7 +336,7 @@ func TestConditionedSampling(t *testing.T) {
 	const N = 30000
 	hits := 0
 	for i := 0; i < N; i++ {
-		w := cond.SampleWorld(rng)
+		w := smp.SampleWorld(rng)
 		if !w.Contains(target) {
 			t.Fatal("conditioned sample violates evidence")
 		}
@@ -334,10 +344,11 @@ func TestConditionedSampling(t *testing.T) {
 			hits++
 		}
 	}
-	wantCond, err := cond.MarginalPresent(other)
+	both, err := eng.ProbLits(append(ev, Literal{Edge: other, Present: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantCond := both / want
 	got := float64(hits) / N
 	if math.Abs(got-wantCond) > 0.02 {
 		t.Fatalf("conditional marginal: sampled %v, exact %v", got, wantCond)
@@ -351,7 +362,7 @@ func TestContradictoryEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.NewConditioned([]Literal{{Edge: 0, Present: true}, {Edge: 0, Present: false}}); err == nil {
+	if _, err := eng.NewSampler([]Literal{{Edge: 0, Present: true}, {Edge: 0, Present: false}}); err == nil {
 		t.Fatal("expected contradictory-evidence error")
 	}
 	// Contradictory literals in a query give probability 0.
@@ -571,5 +582,57 @@ func TestSharedEdgeJPTsNormalize(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("world probabilities sum to %v, want 1", sum)
+	}
+}
+
+// TestEngineConcurrentUse shares one engine (its plan and the pooled
+// replay arenas) and one sampler across goroutines: every probability
+// and every draw must equal the serial ones.
+func TestEngineConcurrentUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pg := randomPGraph(rng, 7, 9)
+	eng, err := NewEngine(pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smp, err := eng.NewSampler(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := pg.UncertainEdges()
+	run := func(seed int64) (probs []float64, worlds []string) {
+		r := rand.New(rand.NewSource(seed))
+		world, scratch := pg.NewWorld(), make([]bool, smp.NumUncertain())
+		for _, e := range edges {
+			p, err := eng.ProbLits([]Literal{{Edge: e, Present: true}, {Edge: edges[0], Present: false}})
+			if err != nil {
+				t.Error(err)
+				return nil, nil
+			}
+			probs = append(probs, p)
+			smp.SampleWorldInto(r, world, scratch)
+			worlds = append(worlds, world.Key())
+		}
+		return probs, worlds
+	}
+	const workers = 4
+	wantP, wantW := make([][]float64, workers), make([][]string, workers)
+	for w := range workers {
+		wantP[w], wantW[w] = run(int64(w))
+	}
+	gotP, gotW := make([][]float64, workers), make([][]string, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			gotP[w], gotW[w] = run(int64(w))
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		if fmt.Sprint(gotP[w], gotW[w]) != fmt.Sprint(wantP[w], wantW[w]) {
+			t.Fatalf("worker %d: concurrent results differ from serial", w)
+		}
 	}
 }

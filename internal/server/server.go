@@ -174,6 +174,7 @@ type StatsJSON struct {
 	PrunedByUpper          int     `json:"pruned_by_upper"`
 	AcceptedByLower        int     `json:"accepted_by_lower"`
 	VerifyCandidates       int     `json:"verify_candidates"`
+	VerifyTruncated        int     `json:"verify_truncated"`
 	RelaxedQueries         int     `json:"relaxed_queries"`
 	TimeStructMS           float64 `json:"time_struct_ms"`
 	TimeProbMS             float64 `json:"time_prob_ms"`
@@ -189,6 +190,7 @@ func statsJSON(st core.Stats) StatsJSON {
 		PrunedByUpper:          st.PrunedByUpper,
 		AcceptedByLower:        st.AcceptedByLower,
 		VerifyCandidates:       st.VerifyCandidates,
+		VerifyTruncated:        st.VerifyTruncated,
 		RelaxedQueries:         st.RelaxedQueries,
 		TimeStructMS:           ms(st.TimeStruct),
 		TimeProbMS:             ms(st.TimeProb),

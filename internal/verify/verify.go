@@ -8,10 +8,11 @@
 // SMP is the paper's Algorithm 5: the Karp–Luby / coverage Monte-Carlo
 // estimator. Clause probabilities Pr(Bfi) come from the exact inference
 // engine (the paper's junction-tree step), worlds conditioned on a clause
-// come from evidence-conditioned engines, and the estimator counts a sample
-// only when the chosen clause is the first satisfied one. The estimate is
-// V·Cnt/N with V = Σ Pr(Bfi); the N = ⌈4·ln(2/ξ)/τ²⌉ samples give relative
-// error τ with confidence 1−ξ on Pr ≥ V/m scales (Mitzenmacher–Upfal).
+// come from evidence-conditioned samplers over the same elimination plan,
+// and the estimator counts a sample only when the chosen clause is the
+// first satisfied one. The estimate is V·Cnt/N with V = Σ Pr(Bfi); the
+// N = ⌈4·ln(2/ξ)/τ²⌉ samples give relative error τ with confidence 1−ξ on
+// Pr ≥ V/m scales (Mitzenmacher–Upfal).
 //
 // Exact is the paper's Equation 21 inclusion–exclusion baseline with
 // exponential cost in the clause count; it exists to reproduce the "Exact"
@@ -57,32 +58,88 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Report is the outcome of one SMP estimate.
+type Report struct {
+	// SSP is the estimate of Pr(∨ clauses).
+	SSP float64
+	// Truncated reports that the DNF had more than MaxClauses clauses and
+	// only the most probable were sampled, so SSP is a lower bound.
+	Truncated bool
+}
+
 // SMP estimates Pr(∨ clauses) where each clause asserts all of its edges
 // exist. Empty input yields 0; a clause with no uncertain edges yields 1.
 func SMP(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (float64, error) {
+	r, err := SMPReport(eng, clauses, opt)
+	return r.SSP, err
+}
+
+// SMPReport is SMP reporting whether the clause list was truncated.
+//
+// Each clause gets one conditioned sampler, built by a single replay of
+// the engine's elimination plan; its Z gives Pr(Bfi) = Z(Bfi)/Z, and it
+// draws the worlds conditioned on Bfi. Past MaxClauses, the probabilities
+// come from table-free replays instead, and only the kept clauses get a
+// sampler; the bits are the same either way. A draw is tested against the
+// earlier clauses on the sampled assignment itself, over each clause's
+// uncertain variables, without materializing the world.
+func SMPReport(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (Report, error) {
 	opt = opt.withDefaults()
 	if len(clauses) == 0 {
-		return 0, nil
+		return Report{}, nil
 	}
-	// Clause probabilities Pr(Bfi) via exact inference.
+	z := eng.Z()
+	if z == 0 {
+		return Report{}, fmt.Errorf("verify: model has zero total weight")
+	}
+	truncate := len(clauses) > opt.MaxClauses
+	var samplers []*prob.Sampler
+	if !truncate {
+		samplers = make([]*prob.Sampler, len(clauses))
+	}
 	probs := make([]float64, len(clauses))
 	v := 0.0
 	for i, c := range clauses {
-		p, err := eng.ProbAllPresent(c)
-		if err != nil {
-			return 0, err
+		var p float64
+		if truncate {
+			var err error
+			if p, err = eng.ProbAllPresent(c); err != nil {
+				return Report{}, err
+			}
+		} else {
+			s, err := conditioned(eng, clauses, i)
+			if err != nil {
+				return Report{}, err
+			}
+			samplers[i], p = s, s.Z()/z
 		}
 		if p >= 1 {
-			return 1, nil // certain clause: the union is certain
+			return Report{SSP: 1}, nil // certain clause: the union is certain
 		}
 		probs[i] = p
 		v += p
 	}
 	if v <= 0 {
-		return 0, nil
+		return Report{}, nil
 	}
-	if v >= 0 && len(clauses) > opt.MaxClauses {
-		clauses, probs, v = topClauses(clauses, probs, opt.MaxClauses)
+	var rep Report
+	if truncate {
+		var idx []int
+		idx, v = topClauses(probs, opt.MaxClauses)
+		cs, ps := make([]graph.EdgeSet, len(idx)), make([]float64, len(idx))
+		for i, id := range idx {
+			cs[i], ps[i] = clauses[id], probs[id]
+		}
+		clauses, probs = cs, ps
+		samplers = make([]*prob.Sampler, len(clauses))
+		for i := range clauses {
+			s, err := conditioned(eng, clauses, i)
+			if err != nil {
+				return Report{}, err
+			}
+			samplers[i] = s
+		}
+		rep.Truncated = true
 	}
 	// Cumulative distribution for clause selection.
 	cum := make([]float64, len(clauses))
@@ -91,46 +148,65 @@ func SMP(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (float64, error
 		acc += p
 		cum[i] = acc
 	}
-	// Conditioned samplers, built lazily per clause.
-	cond := make([]*prob.Engine, len(clauses))
+	vars := clauseVars(eng.PGraph(), clauses)
+	assign := make([]bool, eng.NumUncertain())
 	rng := rand.New(rand.NewSource(opt.Seed))
 	cnt := 0
-	world := graph.NewEdgeSet(engNumEdges(eng))
-	scratchLen := 0
-	var scratch []bool
 	for s := 0; s < opt.N; s++ {
-		// Pick clause i with probability probs[i]/v.
-		x := rng.Float64() * v
-		i := lowerBound(cum, x)
-		if cond[i] == nil {
-			ce, err := eng.NewConditioned(prob.AllPresent(clauses[i]))
-			if err != nil {
-				return 0, fmt.Errorf("verify: conditioning on clause %d: %w", i, err)
-			}
-			cond[i] = ce
-		}
-		if n := condScratchLen(cond[i]); n > scratchLen {
-			scratch = make([]bool, n)
-			scratchLen = n
-		}
-		cond[i].SampleWorldInto(rng, world, scratch)
-		// Count when i is the first satisfied clause.
-		first := true
-		for j := 0; j < i; j++ {
-			if world.ContainsAll(clauses[j]) {
-				first = false
-				break
-			}
-		}
-		if first {
+		// Pick clause i with probability probs[i]/v, draw a world given it,
+		// and count the draw when i is the first satisfied clause.
+		i := lowerBound(cum, rng.Float64()*v)
+		samplers[i].SampleAssign(rng, assign)
+		if !anySatisfied(vars[:i], assign) {
 			cnt++
 		}
 	}
-	est := v * float64(cnt) / float64(opt.N)
-	if est > 1 {
-		est = 1
+	rep.SSP = v * float64(cnt) / float64(opt.N)
+	if rep.SSP > 1 {
+		rep.SSP = 1
 	}
-	return est, nil
+	return rep, nil
+}
+
+// conditioned builds the sampler of worlds in which clause i holds.
+func conditioned(eng *prob.Engine, clauses []graph.EdgeSet, i int) (*prob.Sampler, error) {
+	s, err := eng.NewSampler(prob.AllPresent(clauses[i]))
+	if err != nil {
+		return nil, fmt.Errorf("verify: conditioning on clause %d: %w", i, err)
+	}
+	return s, nil
+}
+
+// clauseVars lists each clause's uncertain edges as variable indices;
+// certain edges hold in every world and drop out of the test.
+func clauseVars(pg *prob.PGraph, clauses []graph.EdgeSet) [][]int {
+	out := make([][]int, len(clauses))
+	for i, c := range clauses {
+		for _, ed := range c.Slice() {
+			if v, ok := pg.VarOf(ed); ok {
+				out[i] = append(out[i], v)
+			}
+		}
+	}
+	return out
+}
+
+// anySatisfied reports whether the assignment makes every variable of some
+// clause present.
+func anySatisfied(vars [][]int, assign []bool) bool {
+	for _, vs := range vars {
+		all := true
+		for _, v := range vs {
+			if !assign[v] {
+				all = false
+				break
+			}
+		}
+		if all {
+			return true
+		}
+	}
+	return false
 }
 
 // Exact computes Pr(∨ clauses) by inclusion–exclusion (Equation 21),
@@ -180,14 +256,16 @@ func dedupClauses(clauses []graph.EdgeSet) []graph.EdgeSet {
 	return kept
 }
 
-// topClauses keeps the n most probable clauses (truncation makes SMP a
-// lower-bound estimate; callers see MaxClauses only on adversarial inputs).
-func topClauses(clauses []graph.EdgeSet, probs []float64, n int) ([]graph.EdgeSet, []float64, float64) {
-	idx := make([]int, len(clauses))
+// topClauses returns the indices of the n most probable clauses and
+// their total probability (truncation makes SMP a lower-bound estimate;
+// callers see MaxClauses only on adversarial inputs).
+func topClauses(probs []float64, n int) ([]int, float64) {
+	idx := make([]int, len(probs))
 	for i := range idx {
 		idx[i] = i
 	}
 	// Partial selection sort for the top n (n ≪ len in practice).
+	v := 0.0
 	for i := 0; i < n && i < len(idx); i++ {
 		best := i
 		for j := i + 1; j < len(idx); j++ {
@@ -196,17 +274,9 @@ func topClauses(clauses []graph.EdgeSet, probs []float64, n int) ([]graph.EdgeSe
 			}
 		}
 		idx[i], idx[best] = idx[best], idx[i]
+		v += probs[idx[i]]
 	}
-	idx = idx[:n]
-	cs := make([]graph.EdgeSet, n)
-	ps := make([]float64, n)
-	v := 0.0
-	for i, id := range idx {
-		cs[i] = clauses[id]
-		ps[i] = probs[id]
-		v += ps[i]
-	}
-	return cs, ps, v
+	return idx[:n], v
 }
 
 // lowerBound returns the first index with cum[i] >= x.
@@ -222,9 +292,3 @@ func lowerBound(cum []float64, x float64) int {
 	}
 	return lo
 }
-
-// engNumEdges and condScratchLen expose the engine capacities SMP needs for
-// its scratch buffers.
-func engNumEdges(e *prob.Engine) int { return e.NumEdges() }
-
-func condScratchLen(e *prob.Engine) int { return e.NumUncertain() }

@@ -3,6 +3,7 @@ package verify
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -230,12 +231,15 @@ func TestTopClauses(t *testing.T) {
 	}
 	clauses := []graph.EdgeSet{mk(0), mk(1), mk(2), mk(3)}
 	probs := []float64{0.1, 0.9, 0.5, 0.7}
-	cs, ps, v := topClauses(clauses, probs, 2)
-	if len(cs) != 2 || ps[0] != 0.9 || ps[1] != 0.7 {
-		t.Fatalf("topClauses picked %v", ps)
+	idx, v := topClauses(probs, 2)
+	if len(idx) != 2 || idx[0] != 1 || idx[1] != 3 {
+		t.Fatalf("topClauses picked %v", idx)
 	}
 	if math.Abs(v-1.6) > 1e-12 {
 		t.Fatalf("v = %v, want 1.6", v)
+	}
+	if c := clauses[idx[0]]; !c.Contains(1) {
+		t.Fatalf("top clause %v, want {1}", c.Slice())
 	}
 }
 
@@ -246,5 +250,105 @@ func TestLowerBoundSearch(t *testing.T) {
 		if got := lowerBound(cum, x); got != want {
 			t.Fatalf("lowerBound(%v) = %d, want %d", x, got, want)
 		}
+	}
+}
+
+// TestSMPGuaranteeAtDefaults checks the estimator's stated (τ, ξ)
+// guarantee at the sample count the engine actually uses: with the
+// default Options (τ = 0.1, ξ = 0.05, N = ⌈4·ln(2/ξ)/τ²⌉ = 1476), the
+// relative error against world enumeration must be at most τ on at least
+// a 1−ξ fraction of 240 seeded random models and DNFs.
+func TestSMPGuaranteeAtDefaults(t *testing.T) {
+	const models = 240
+	opt := Options{}.withDefaults()
+	if opt.N != 1476 {
+		t.Fatalf("default N = %d, want 1476", opt.N)
+	}
+	within := 0
+	for seed := int64(0); seed < models; seed++ {
+		rng := rand.New(rand.NewSource(1000 + seed))
+		pg, eng := randomModel(t, rng, 6+rng.Intn(3), 7+rng.Intn(4))
+		clauses := DedupClauses(randomClauses(rng, pg.G.NumEdges(), 2+rng.Intn(5)))
+		want := enumerationDNF(t, eng, clauses)
+		got, err := SMP(eng, clauses, Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) <= opt.Tau*want {
+			within++
+		}
+	}
+	t.Logf("relative error ≤ %v on %d of %d models", opt.Tau, within, models)
+	if float64(within) < (1-opt.Xi)*models {
+		t.Fatalf("relative error ≤ τ on %d of %d models, want at least %v", within, models, (1-opt.Xi)*models)
+	}
+}
+
+// TestSMPReportsTruncation feeds SMP a 780-clause DNF — every pair of 40
+// independent edges — past the default MaxClauses of 512: the report must
+// say the estimate is a truncated lower bound, and must not when the cap
+// admits every clause.
+func TestSMPReportsTruncation(t *testing.T) {
+	b := graph.NewBuilder("t")
+	for i := 0; i < 41; i++ {
+		b.AddVertex("a")
+	}
+	probs := map[graph.EdgeID]float64{}
+	for i := 0; i < 40; i++ {
+		probs[b.MustAddEdge(graph.VertexID(i), graph.VertexID(i+1), "")] = 0.02
+	}
+	pg, err := prob.NewIndependent(b.Build(), probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := prob.NewEngine(pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clauses []graph.EdgeSet
+	for i := 0; i < 40; i++ {
+		for j := i + 1; j < 40; j++ {
+			c := graph.NewEdgeSet(40)
+			c.Add(graph.EdgeID(i))
+			c.Add(graph.EdgeID(j))
+			clauses = append(clauses, c)
+		}
+	}
+	if len(clauses) <= 512 {
+		t.Fatalf("only %d clauses", len(clauses))
+	}
+	r, err := SMPReport(eng, clauses, Options{N: 200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Truncated || r.SSP <= 0 {
+		t.Fatalf("default cap: report %+v, want a positive truncated estimate", r)
+	}
+	// SSP = v·cnt/N where v sums only the 512 kept clauses, so SSP ≤ v and
+	// SSP·N/v is a whole count; the untruncated mass would break both.
+	cps := make([]float64, len(clauses))
+	for i, c := range clauses {
+		if cps[i], err = eng.ProbAllPresent(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(cps)))
+	kept := 0.0
+	for _, p := range cps[:512] {
+		kept += p
+	}
+	cnt := r.SSP * 200 / kept
+	if r.SSP > kept*(1+1e-9) || math.Abs(cnt-math.Round(cnt)) > 1e-6 {
+		t.Fatalf("SSP %v is not v·cnt/N for the kept clause mass %v (cnt = %v)", r.SSP, kept, cnt)
+	}
+	full, err := SMPReport(eng, clauses, Options{N: 200, Seed: 1, MaxClauses: len(clauses)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Truncated {
+		t.Fatalf("cap %d admits every clause, report says truncated", len(clauses))
+	}
+	if p, _ := SMP(eng, clauses, Options{N: 200, Seed: 1}); p != r.SSP {
+		t.Fatalf("SMP %v differs from SMPReport %v", p, r.SSP)
 	}
 }

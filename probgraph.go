@@ -124,9 +124,12 @@ type (
 	PGraph = prob.PGraph
 	// JPT is a joint probability table over a neighbor-edge set.
 	JPT = prob.JPT
-	// InferenceEngine performs exact probability queries and world
-	// sampling over one PGraph.
+	// InferenceEngine performs exact probability queries over one PGraph;
+	// its Sampler and NewSampler build world samplers.
 	InferenceEngine = prob.Engine
+	// InferenceSampler draws possible worlds exactly from an engine's
+	// (optionally evidence-conditioned) distribution.
+	InferenceSampler = prob.Sampler
 )
 
 // Database and queries.
