@@ -139,9 +139,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "pgbench: %v\n", err)
 		return 1
 	}
+	build := env.DB.View().Build
 	fmt.Fprintf(stdout, "database: %d graphs, %d PMI features, index built in %v\n\n",
-		env.DB.Len(), env.DB.Build().Features,
-		env.DB.Build().FeatureTime+env.DB.Build().PMITime+env.DB.Build().StructTime)
+		env.DB.Len(), build.Features, build.FeatureTime+build.PMITime+build.StructTime)
 
 	var figures []figureJSON
 	want := func(name string) bool {

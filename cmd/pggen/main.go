@@ -145,13 +145,14 @@ func run(args []string, stderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "pggen: %v\n", err)
 			return 1
 		}
-		if err := idxDB.SaveFile(*saveSnap, sf); err != nil {
+		v := idxDB.View()
+		if err := v.SaveFile(*saveSnap, sf); err != nil {
 			fmt.Fprintf(stderr, "pggen: %v\n", err)
 			return 1
 		}
 		feats := 0
-		if idxDB.PMI() != nil {
-			feats = idxDB.PMI().NumFeatures()
+		if v.PMI != nil {
+			feats = v.PMI.NumFeatures()
 		}
 		fmt.Fprintf(stderr, "pggen: wrote snapshot (%d PMI features) to %s\n", feats, *saveSnap)
 	}

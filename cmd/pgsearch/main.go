@@ -33,7 +33,7 @@
 //
 // -workers N evaluates candidate graphs on a pool of N goroutines (N < 0
 // selects GOMAXPROCS). -batch additionally runs all queries through one
-// QueryBatch call, spreading the same pool across the queries. Both knobs
+// QueryBatchCtx call, spreading the same pool across the queries. Both knobs
 // change scheduling only: for a fixed -seed, every combination of
 // -workers and -batch reports identical answers.
 //
@@ -41,7 +41,7 @@
 // pgsearch prints a one-line error to stderr and exits 3 (distinct from
 // exit 2 for bad flags and exit 1 for evaluation failures).
 //
-// -stream answers with Database.QueryStream instead: one NDJSON line per
+// -stream answers with DatabaseView.QueryStream instead: one NDJSON line per
 // verified match, written as verification admits it (arrival order), then
 // one summary line per query with the sorted answer set — which is
 // bitwise-identical to the answers the non-streaming run reports, at any
@@ -108,7 +108,7 @@ func main() {
 	verifier := flag.String("verifier", "smp", "verifier: smp, exact, none")
 	plain := flag.Bool("plain", false, "use plain SSPBound instead of OPT-SSPBound")
 	workers := flag.Int("workers", 1, "candidate-evaluation worker pool size (<0 = GOMAXPROCS)")
-	batch := flag.Bool("batch", false, "run all queries through one QueryBatch call")
+	batch := flag.Bool("batch", false, "run all queries through one QueryBatchCtx call")
 	saveIndex := flag.String("saveindex", "", "write the built PMI index to this file")
 	loadIndex := flag.String("loadindex", "", "load a previously saved PMI index instead of rebuilding")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -230,8 +230,11 @@ func main() {
 			say("loaded PMI index from %s (%d features)\n", *loadIndex, idx.NumFeatures())
 		}
 		say("indexed in %v: %d PMI features, %.1f KB index\n\n",
-			time.Since(start), db.PMI().NumFeatures(), float64(db.Build().IndexSizeBytes)/1024)
+			time.Since(start), db.View().PMI.NumFeatures(), float64(db.View().Build.IndexSizeBytes)/1024)
 	}
+	// Nothing mutates the database from here on: every step reads this
+	// one pinned view.
+	v := db.View()
 	if *saveSnap != "" {
 		sf, err := probgraph.ParseSnapshotFormat(*format)
 		if err != nil {
@@ -243,7 +246,7 @@ func main() {
 			// each carry the full feature vocabulary plus that range's
 			// graphs, postings, and PMI columns — what cmd/pgproxy's fleet
 			// serves (see internal/cluster).
-			ranges, err := probgraph.PartitionRanges(db.Len(), *partition)
+			ranges, err := probgraph.PartitionRanges(v.Len(), *partition)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -255,21 +258,21 @@ func main() {
 				say("saved %s shard %d [%d,%d) to %s\n", *format, i, r[0], r[1], path)
 			}
 		} else {
-			if err := db.SaveFile(*saveSnap, sf); err != nil {
+			if err := v.SaveFile(*saveSnap, sf); err != nil {
 				log.Fatal(err)
 			}
 			say("saved %s snapshot to %s\n", *format, *saveSnap)
 		}
 	}
 	if *saveIndex != "" {
-		if db.PMI() == nil {
+		if v.PMI == nil {
 			log.Fatal("pgsearch: no PMI to save")
 		}
 		idxFile, err := os.Create(*saveIndex)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := db.PMI().Save(idxFile); err != nil {
+		if err := v.PMI.Save(idxFile); err != nil {
 			log.Fatal(err)
 		}
 		idxFile.Close()
@@ -307,7 +310,7 @@ func main() {
 		rng := rand.New(rand.NewSource(*seed))
 		qs = make([]*probgraph.Graph, *queries)
 		for i := range qs {
-			src := db.Graphs()[(*qfrom+i)%db.Len()].G
+			src := v.Graphs[(*qfrom+i)%v.Len()].G
 			qs[i] = probgraph.ExtractQuery(src, *qsize, rng)
 		}
 	}
@@ -328,7 +331,7 @@ func main() {
 	}
 
 	if *stream {
-		runStream(ctx, db, qs, probgraph.QueryOptions{
+		runStream(ctx, v, qs, probgraph.QueryOptions{
 			Epsilon: *epsilon, Delta: *delta,
 			OptBounds: !*plain, Verifier: vk,
 			Seed: *seed, Concurrency: *workers,
@@ -340,7 +343,7 @@ func main() {
 	results := make([]*probgraph.Result, len(qs))
 	if *batch {
 		bctx, done := tracedCtx(ctx, *trace, "batch")
-		rs, err := db.QueryBatchCtx(bctx, qs, probgraph.QueryOptions{
+		rs, err := v.QueryBatchCtx(bctx, qs, probgraph.QueryOptions{
 			Epsilon: *epsilon, Delta: *delta,
 			OptBounds: !*plain, Verifier: vk,
 			Seed: *seed, Concurrency: *workers,
@@ -353,10 +356,10 @@ func main() {
 		results = rs
 	} else {
 		for i, q := range qs {
-			// Same per-query seed derivation as QueryBatch, so -batch
+			// Same per-query seed derivation as QueryBatchCtx, so -batch
 			// changes scheduling only, never answers.
 			qctx, done := tracedCtx(ctx, *trace, fmt.Sprintf("q%d", i))
-			res, err := db.QueryCtx(qctx, q, probgraph.QueryOptions{
+			res, err := v.QueryCtx(qctx, q, probgraph.QueryOptions{
 				Epsilon: *epsilon, Delta: *delta,
 				OptBounds: !*plain, Verifier: vk,
 				Seed: probgraph.BatchSeed(*seed, i), Concurrency: *workers,
@@ -372,7 +375,7 @@ func main() {
 	elapsed := time.Since(qStart)
 
 	if *jsonOut {
-		printJSON(qs, results, db, elapsed)
+		printJSON(qs, results, v, elapsed)
 		return
 	}
 
@@ -395,7 +398,7 @@ func main() {
 				if ssp == -1 {
 					tag = "accepted by lower bound"
 				}
-				fmt.Printf("  q%d → %s (%s)\n", i, db.Graphs()[gi].G.Name(), tag)
+				fmt.Printf("  q%d → %s (%s)\n", i, v.Graphs[gi].G.Name(), tag)
 			}
 		}
 	}
@@ -423,11 +426,11 @@ type streamSummaryJSON struct {
 	TimeMS  float64 `json:"time_ms"`
 }
 
-// runStream answers every query through Database.QueryStream, printing
+// runStream answers every query through DatabaseView.QueryStream, printing
 // matches the moment verification admits them. Per-query seeds derive
 // exactly as in the non-streaming path (BatchSeed), so the summary line's
 // sorted answers match a plain run with the same flags.
-func runStream(ctx context.Context, db *probgraph.Database, qs []*probgraph.Graph,
+func runStream(ctx context.Context, v *probgraph.DatabaseView, qs []*probgraph.Graph,
 	opt probgraph.QueryOptions, trace bool, exitOnDeadline func(error)) {
 	enc := json.NewEncoder(os.Stdout)
 	for i, q := range qs {
@@ -436,13 +439,13 @@ func runStream(ctx context.Context, db *probgraph.Database, qs []*probgraph.Grap
 		start := time.Now()
 		var answers []int
 		qctx, done := tracedCtx(ctx, trace, fmt.Sprintf("q%d", i))
-		for m, err := range db.QueryStream(qctx, q, qo) {
+		for m, err := range v.QueryStream(qctx, q, qo) {
 			if err != nil {
 				exitOnDeadline(err)
 				log.Fatal(err)
 			}
 			if err := enc.Encode(streamMatchJSON{
-				Query: i, Graph: m.Graph, Name: db.Graphs()[m.Graph].G.Name(), SSP: m.SSP,
+				Query: i, Graph: m.Graph, Name: v.Graphs[m.Graph].G.Name(), SSP: m.SSP,
 			}); err != nil {
 				log.Fatal(err)
 			}
@@ -476,7 +479,7 @@ type queryJSON struct {
 	TimeMS   float64         `json:"time_ms"`
 }
 
-func printJSON(qs []*probgraph.Graph, results []*probgraph.Result, db *probgraph.Database, elapsed time.Duration) {
+func printJSON(qs []*probgraph.Graph, results []*probgraph.Result, v *probgraph.DatabaseView, elapsed time.Duration) {
 	out := struct {
 		Results []queryJSON `json:"results"`
 		TimeMS  float64     `json:"time_ms"`
@@ -488,7 +491,7 @@ func printJSON(qs []*probgraph.Graph, results []*probgraph.Result, db *probgraph
 		}
 		names := make([]string, len(answers))
 		for k, gi := range answers {
-			names[k] = db.Graphs()[gi].G.Name()
+			names[k] = v.Graphs[gi].G.Name()
 		}
 		out.Results = append(out.Results, queryJSON{
 			Query: i, Edges: qs[i].NumEdges(),

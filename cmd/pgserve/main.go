@@ -12,8 +12,8 @@
 //	pgserve -db db.pgraph ...   (build the index at startup instead)
 //
 // With -snapshot (written by pgsearch -savesnap, pggen -savesnap, or
-// probgraph.Database.Save/SaveFile) there is no feature mining and no PMI
-// bound computation at startup. Binary (v4) snapshots are memory-mapped:
+// probgraph.DatabaseView.Save/SaveFile) there is no feature mining and no
+// PMI bound computation at startup. Binary (v4) snapshots are memory-mapped:
 // startup does no full-corpus parse, pages fault in on demand, and
 // multiple pgserve processes serving the same file share the page cache.
 // Text snapshots are parsed once. Inference engines build lazily on first
@@ -247,8 +247,8 @@ func main() {
 }
 
 func pmiFeatures(db *core.Database) int {
-	if db.PMI() == nil {
-		return 0
+	if pmi := db.View().PMI; pmi != nil {
+		return pmi.NumFeatures()
 	}
-	return db.PMI().NumFeatures()
+	return 0
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -23,7 +24,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	build := func(optimize bool) *probgraph.Database {
+	// Each variant is built once and never mutated, so the example works on
+	// its pinned view.
+	build := func(optimize bool) *probgraph.DatabaseView {
 		opt := probgraph.DefaultBuildOptions()
 		opt.Feature.Beta = 0.25
 		opt.Feature.MaxL = 4
@@ -32,28 +35,28 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return db
+		return db.View()
 	}
 	optDB := build(true)
 	plainDB := build(false)
 
 	fmt.Printf("OPT-SIPBound index: %d features, %d bytes, built in %v (mining %v + PMI %v)\n",
-		optDB.Build().Features, optDB.Build().IndexSizeBytes,
-		optDB.Build().FeatureTime+optDB.Build().PMITime, optDB.Build().FeatureTime, optDB.Build().PMITime)
-	fmt.Printf("SIPBound index:     %d features, %d bytes\n\n", plainDB.Build().Features, plainDB.Build().IndexSizeBytes)
+		optDB.Build.Features, optDB.Build.IndexSizeBytes,
+		optDB.Build.FeatureTime+optDB.Build.PMITime, optDB.Build.FeatureTime, optDB.Build.PMITime)
+	fmt.Printf("SIPBound index:     %d features, %d bytes\n\n", plainDB.Build.Features, plainDB.Build.IndexSizeBytes)
 
 	// The PMI matrix view (paper Figure 4) for the first few features and
 	// graphs: ⟨LowerB, UpperB⟩ for contained features, ⟨0⟩ otherwise.
 	table := stats.NewTable("PMI matrix excerpt (rows = features, cols = graphs 0-5)",
 		"feature", "g0", "g1", "g2", "g3", "g4", "g5")
-	maxRows := optDB.PMI().NumFeatures()
+	maxRows := optDB.PMI.NumFeatures()
 	if maxRows > 8 {
 		maxRows = 8
 	}
 	for fi := 0; fi < maxRows; fi++ {
-		cells := []interface{}{fmt.Sprintf("f%d(%de)", fi, optDB.PMI().Features[fi].NumEdges())}
+		cells := []interface{}{fmt.Sprintf("f%d(%de)", fi, optDB.PMI.Features[fi].NumEdges())}
 		for gi := 0; gi < 6 && gi < len(raw.Graphs); gi++ {
-			e := optDB.PMI().Entries[fi][gi]
+			e := optDB.PMI.Entries[fi][gi]
 			if !e.Contained {
 				cells = append(cells, "<0>")
 			} else {
@@ -66,11 +69,11 @@ func main() {
 	fmt.Println()
 
 	// Bound tightness: average width of contained entries per variant.
-	width := func(db *probgraph.Database) (float64, int) {
+	width := func(db *probgraph.DatabaseView) (float64, int) {
 		total, n := 0.0, 0
-		for fi := range db.PMI().Entries {
-			for gi := range db.PMI().Entries[fi] {
-				e := db.PMI().Entries[fi][gi]
+		for fi := range db.PMI.Entries {
+			for gi := range db.PMI.Entries[fi] {
+				e := db.PMI.Entries[fi][gi]
 				if e.Contained {
 					total += e.Upper - e.Lower
 					n++
@@ -89,11 +92,11 @@ func main() {
 	// Pruning-power comparison over a few queries: fraction of structural
 	// candidates resolved without verification.
 	rng := rand.New(rand.NewSource(23))
-	resolve := func(db *probgraph.Database, seed int64) float64 {
+	resolve := func(db *probgraph.DatabaseView, seed int64) float64 {
 		resolved, total := 0, 0
 		for trial := 0; trial < 5; trial++ {
 			q := probgraph.ExtractQuery(raw.Graphs[trial%len(raw.Graphs)].G, 4, rng)
-			res, err := db.Query(q, probgraph.QueryOptions{
+			res, err := db.QueryCtx(context.Background(), q, probgraph.QueryOptions{
 				Epsilon: 0.4, Delta: 1, OptBounds: true,
 				Verifier: probgraph.VerifierNone, Seed: seed + int64(trial),
 			})

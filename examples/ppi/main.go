@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -42,7 +43,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	build := func(d *probgraph.Dataset) *probgraph.Database {
+	// Each model is indexed once and never mutated, so the example queries
+	// its pinned view.
+	build := func(d *probgraph.Dataset) *probgraph.DatabaseView {
 		opt := probgraph.DefaultBuildOptions()
 		opt.Feature.Beta = 0.2
 		opt.Feature.MaxL = 4
@@ -50,17 +53,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return db
+		return db.View()
 	}
 	corDB := build(raw)
 	indDB := build(indRaw)
-	fmt.Printf("Indexed: %d PMI features (COR), %d (IND)\n\n", corDB.Build().Features, indDB.Build().Features)
+	fmt.Printf("Indexed: %d PMI features (COR), %d (IND)\n\n", corDB.Build.Features, indDB.Build.Features)
 
 	// Part 1: one threshold query in detail on the correlated model.
 	rng := rand.New(rand.NewSource(3))
 	q := probgraph.ExtractQuery(raw.Seeds[0], 5, rng)
 	fmt.Println("Query (pathway fragment from organism 0):", q)
-	res, err := corDB.Query(q, probgraph.QueryOptions{
+	res, err := corDB.QueryCtx(context.Background(), q, probgraph.QueryOptions{
 		Epsilon: epsilon, Delta: delta, OptBounds: true, Seed: 1,
 	})
 	if err != nil {
@@ -90,12 +93,12 @@ func main() {
 				}
 			}
 			for _, cfg := range []struct {
-				db  *probgraph.Database
+				db  *probgraph.DatabaseView
 				ps  *[]float64
 				rs  *[]float64
 				tag string
 			}{{corDB, &corP, &corR, "cor"}, {indDB, &indP, &indR, "ind"}} {
-				r, err := cfg.db.Query(q, probgraph.QueryOptions{
+				r, err := cfg.db.QueryCtx(context.Background(), q, probgraph.QueryOptions{
 					Epsilon: eps, Delta: delta, OptBounds: true, Seed: int64(trial),
 				})
 				if err != nil {

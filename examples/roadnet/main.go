@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -47,7 +48,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Indexed %d districts, %d route features mined\n\n", len(graphs), db.Build().Features)
+	v := db.View() // queries run on one pinned generation
+	fmt.Printf("Indexed %d districts, %d route features mined\n\n", len(graphs), v.Build.Features)
 
 	// Route pattern: an L-shaped connection through the center zone —
 	// suburb → center → center → suburb.
@@ -64,9 +66,10 @@ func main() {
 
 	table := stats.NewTable("Districts with a reliable route instance",
 		"epsilon", "delta", "matching districts")
+	ctx := context.Background()
 	for _, eps := range []float64{0.3, 0.5, 0.7, 0.9} {
 		for _, delta := range []int{0, 1} {
-			res, err := db.Query(q, probgraph.QueryOptions{
+			res, err := v.QueryCtx(ctx, q, probgraph.QueryOptions{
 				Epsilon: eps, Delta: delta, OptBounds: true, Seed: 5,
 			})
 			if err != nil {

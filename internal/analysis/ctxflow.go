@@ -13,13 +13,11 @@ import (
 //     the caller's cancellation and the span carried in the ctx;
 //   - calling the ctx-less variant X(...) of a callee that also has an
 //     XCtx(...) form in scope (same package, or the method set of the
-//     receiver being called) without passing any context argument — the
-//     repo's convention since PR 5 is that every ctx-less entry point is
-//     a thin wrapper over its Ctx sibling, so calling the wrapper from a
-//     ctx-bearing function silently drops cancellation and tracing.
+//     receiver being called) without passing any context argument —
+//     calling it from a ctx-bearing function silently drops cancellation
+//     and tracing.
 //
-// Wrapper shims themselves (the one-line Query → QueryCtx forwarders in
-// the public API) do not receive a ctx, so they are out of scope by
+// A ctx-less X that itself receives no ctx is out of scope by
 // construction. Deliberate detachment (e.g. a background flusher that
 // must outlive the request) is annotated //pgvet:ctxbg <why>.
 var CtxFlow = &Analyzer{

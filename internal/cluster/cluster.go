@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"probgraph/internal/obs"
+	"probgraph/internal/server"
 )
 
 // Shard names one member of the fleet.
@@ -160,5 +161,5 @@ func (c *Coordinator) instrumented(endpoint string, h http.HandlerFunc) http.Han
 // handleHealthz is the liveness probe: the coordinator process is up. It
 // does not touch the shards — /readyz does.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{"status": "ok", "shards": len(c.shards)})
+	server.WriteJSON(w, map[string]any{"status": "ok", "shards": len(c.shards)})
 }

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"probgraph/internal/server"
 )
 
 // ShardHealthJSON is one shard's health record as /stats reports it.
@@ -155,7 +157,7 @@ func writeReadyz(w http.ResponseWriter, ready bool, shards int, failed []string)
 	if len(failed) > 0 {
 		out["failed"] = failed
 	}
-	writeJSON(w, out)
+	server.WriteJSON(w, out)
 }
 
 // probeReady GETs one shard's /readyz. The outcome feeds the health
@@ -181,7 +183,7 @@ func (c *Coordinator) probeReady(ctx context.Context, sh Shard) error {
 // handleStats reports the coordinator's own counters plus every shard's
 // health record.
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{
+	server.WriteJSON(w, map[string]any{
 		"shards":    c.health.snapshot(c.shards),
 		"queries":   c.mx.totalQueries(),
 		"uptime_ms": float64(time.Since(c.start).Microseconds()) / 1000,

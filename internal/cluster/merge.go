@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"probgraph/internal/obs"
 	"probgraph/internal/server"
 )
 
@@ -17,17 +16,17 @@ import (
 // single-node answer set, with bitwise the single-node SSP values.
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req server.QueryRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
-	if _, err := req.Check(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	if _, _, err := req.Check(); err != nil {
+		server.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	start := time.Now()
 	body, err := json.Marshal(&req)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		server.HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	resps, ce := c.queryShards(r.Context(), "/query", body)
@@ -37,10 +36,10 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	merged := mergeQuery(resps)
 	merged.TimeMS = float64(time.Since(start).Microseconds()) / 1000
-	if traceWanted(r, req.Trace) {
-		merged.Trace = traceTree(r)
+	if server.TraceWanted(r, req.Trace) {
+		merged.Trace = server.TraceTree(r)
 	}
-	writeJSON(w, merged)
+	server.WriteJSON(w, merged)
 }
 
 // handleBatch is POST /batch: one fan-out carrying the whole batch (each
@@ -48,18 +47,18 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 // member-wise.
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req server.BatchRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
-	qs, err := req.Check()
+	qs, _, err := req.Check()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		server.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	start := time.Now()
 	body, err := json.Marshal(&req)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		server.HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	results := c.fanout(r.Context(), "/batch", body)
@@ -90,10 +89,10 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Results = append(out.Results, mergeQuery(member))
 	}
-	if traceWanted(r, req.Trace) {
-		out.Trace = traceTree(r)
+	if server.TraceWanted(r, req.Trace) {
+		out.Trace = server.TraceTree(r)
 	}
-	writeJSON(w, out)
+	server.WriteJSON(w, out)
 }
 
 // queryShards fans body out to path on every shard, decodes the
@@ -180,19 +179,4 @@ func badShardResponse(w http.ResponseWriter, sh Shard) {
 		status: http.StatusBadGateway, shard: sh.Name,
 		msg: "shard " + sh.Name + ": undecodable response",
 	}).write(w)
-}
-
-// traceWanted mirrors the single-node knob: the body's trace field or
-// trace=1 in the URL.
-func traceWanted(r *http.Request, bodyFlag bool) bool {
-	return bodyFlag || r.URL.Query().Get("trace") == "1"
-}
-
-// traceTree snapshots the request's coordinator-side span tree (the
-// fan-out children live under the endpoint root).
-func traceTree(r *http.Request) *obs.SpanNode {
-	if tr := obs.TraceFrom(r.Context()); tr != nil {
-		return tr.Tree()
-	}
-	return nil
 }

@@ -101,7 +101,7 @@ func (c *Coordinator) fanout(ctx context.Context, path string, body []byte) []sh
 }
 
 // shardErrorBody is the structured error payload shards answer non-200
-// with (the single-node server's httpError / evalError shapes).
+// with (the single-node server's HTTPError / evalError shapes).
 type shardErrorBody struct {
 	Error     string `json:"error"`
 	Timeout   bool   `json:"timeout"`
@@ -186,35 +186,4 @@ func (e *coordError) write(w http.ResponseWriter) {
 		out["cancelled"] = true
 	}
 	json.NewEncoder(w).Encode(out)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// decodeBody parses a JSON request body (POST only), mirroring the
-// single-node server so clients see identical 400/405 behavior.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	// Drain to EOF: net/http arms its client-disconnect detection (which
-	// cancels r.Context()) only once the body is fully consumed, and
-	// Decode stops after the first JSON value.
-	io.Copy(io.Discard, r.Body)
-	return true
 }

@@ -37,20 +37,20 @@ const streamWriteTimeout = 30 * time.Second
 // cannot be unsent.
 func (c *Coordinator) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	var req server.QueryRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.K != 0 {
-		httpError(w, http.StatusBadRequest, "k is not supported on /query/stream")
+		server.HTTPError(w, http.StatusBadRequest, "k is not supported on /query/stream")
 		return
 	}
-	if _, err := req.Check(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	if _, _, err := req.Check(); err != nil {
+		server.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	body, err := json.Marshal(&req)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		server.HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	start := time.Now()

@@ -30,24 +30,24 @@ type schedEntry struct {
 // candidate's owning shard via /topk/verify. SSP fetches are batched a
 // window ahead as prefetch; per-candidate SSPs are deterministic, so
 // overfetch past the serial cutoff wastes work but never changes the
-// answer. The result is bitwise-identical to single-node QueryTopK.
+// answer. The result is bitwise-identical to single-node QueryTopKCtx.
 func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req server.QueryRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.K <= 0 {
-		httpError(w, http.StatusBadRequest, "k must be positive")
+		server.HTTPError(w, http.StatusBadRequest, "k must be positive")
 		return
 	}
-	if _, err := req.Check(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	if _, _, err := req.Check(); err != nil {
+		server.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	start := time.Now()
 	body, err := json.Marshal(&req)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		server.HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	results := c.fanout(r.Context(), "/topk/bounds", body)
@@ -90,7 +90,7 @@ func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 			if ce, ok := err.(*coordError); ok {
 				ce.write(w)
 			} else {
-				httpError(w, http.StatusBadGateway, "%v", err)
+				server.HTTPError(w, http.StatusBadGateway, "%v", err)
 			}
 			return
 		}
@@ -100,10 +100,10 @@ func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 		Generation: gens[0],
 		TimeMS:     float64(time.Since(start).Microseconds()) / 1000,
 	}
-	if traceWanted(r, req.Trace) {
-		resp.Trace = traceTree(r)
+	if server.TraceWanted(r, req.Trace) {
+		resp.Trace = server.TraceTree(r)
 	}
-	writeJSON(w, resp)
+	server.WriteJSON(w, resp)
 }
 
 // mergeDegenerate handles δ ≥ |E(q)|: every live graph matches with SSP 1

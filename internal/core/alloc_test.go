@@ -11,6 +11,7 @@ import (
 	"probgraph/internal/dataset"
 	"probgraph/internal/graph"
 	"probgraph/internal/obs"
+	"probgraph/internal/pool"
 	"probgraph/internal/relax"
 )
 
@@ -116,7 +117,7 @@ func TestEvalCandidateParallelAllocs(t *testing.T) {
 				reps = append(reps, pruned...)
 			}
 			run := func() error {
-				return forEachIndexCtx(context.Background(), len(reps), workers, func(i int) {
+				return pool.ForEachIndexCtx(context.Background(), len(reps), workers, func(i int) {
 					_ = v.evalCandidate(q, u, pr, reps[i], opt)
 				})
 			}

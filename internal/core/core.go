@@ -241,43 +241,14 @@ func newFromView(v *View) *Database {
 
 // View pins the current view: an immutable snapshot of the database the
 // caller can query for as long as it likes, unaffected by concurrent
-// mutations. Every query method on Database is shorthand for pinning a
-// view and calling the same method on it.
+// mutations. Every query runs on a pinned view (View.QueryCtx,
+// View.QueryTopKCtx, View.QueryBatchCtx, View.QueryStream), as do the
+// accessors and snapshot writers.
 func (db *Database) View() *View { return db.cur.Load() }
 
 // Len returns the current number of slots (tombstoned ones included); see
 // View.Len.
 func (db *Database) Len() int { return db.View().Len() }
-
-// NumLive returns the current number of live graphs.
-func (db *Database) NumLive() int { return db.View().NumLive() }
-
-// Tombstones returns the current number of tombstoned slots.
-func (db *Database) Tombstones() int { return db.View().Tombstones() }
-
-// Generation returns the current generation number.
-func (db *Database) Generation() uint64 { return db.View().Generation }
-
-// Graphs returns the current view's graph slots. Tombstoned slots keep
-// their graph; check View.Live before dereferencing semantics that
-// require liveness.
-func (db *Database) Graphs() []*prob.PGraph { return db.View().Graphs }
-
-// Certain returns the current view's certain graphs, by slot.
-func (db *Database) Certain() []*graph.Graph { return db.View().Certain }
-
-// PMI returns the current view's probabilistic matrix index (nil when the
-// database was built with SkipPMI).
-func (db *Database) PMI() *pmi.Index { return db.View().PMI }
-
-// Struct returns the current view's structural filter.
-func (db *Database) Struct() *simsearch.Index { return db.View().Struct }
-
-// Features returns the current view's mined feature vocabulary.
-func (db *Database) Features() []*feature.Feature { return db.View().Features }
-
-// Build returns the current view's construction statistics.
-func (db *Database) Build() BuildStats { return db.View().Build }
 
 // SetCompactThreshold configures automatic compaction: after a mutation
 // leaves more than frac × Len() slots tombstoned, the mutation compacts

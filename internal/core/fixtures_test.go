@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -44,10 +45,10 @@ func TestRegenSnapshotFixtures(t *testing.T) {
 	}
 	db, _ := snapDB(t, 8)
 	var v3, v4 bytes.Buffer
-	if err := db.Save(&v3); err != nil {
+	if err := db.View().Save(&v3); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SaveBinary(&v4); err != nil {
+	if err := db.View().SaveBinary(&v4); err != nil {
 		t.Fatal(err)
 	}
 	write("v3_tiny.pgsnap", v3.Bytes())
@@ -57,10 +58,10 @@ func TestRegenSnapshotFixtures(t *testing.T) {
 		t.Fatal(err)
 	}
 	var v3t, v4t bytes.Buffer
-	if err := db.Save(&v3t); err != nil {
+	if err := db.View().Save(&v3t); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SaveBinary(&v4t); err != nil {
+	if err := db.View().SaveBinary(&v4t); err != nil {
 		t.Fatal(err)
 	}
 	write("v3_tiny_tombs.pgsnap", v3t.Bytes())
@@ -95,7 +96,7 @@ func TestSnapshotFixtureReplay(t *testing.T) {
 	answers := func(db *Database) []recorded {
 		out := make([]recorded, len(qs))
 		for i, q := range qs {
-			r, err := db.Query(q, opt)
+			r, err := db.View().QueryCtx(context.Background(), q, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +118,7 @@ func TestSnapshotFixtureReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := load(name).SaveBinary(&buf); err != nil {
+		if err := load(name).View().SaveBinary(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), b) {

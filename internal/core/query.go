@@ -12,6 +12,7 @@ import (
 	"probgraph/internal/iso"
 	"probgraph/internal/obs"
 	"probgraph/internal/pmi"
+	"probgraph/internal/pool"
 	"probgraph/internal/prob"
 	"probgraph/internal/qp"
 	"probgraph/internal/relax"
@@ -59,7 +60,7 @@ type QueryOptions struct {
 	// negative value selects GOMAXPROCS. The result set, SSP estimates,
 	// and counters are identical for every setting — all per-candidate
 	// randomness is seeded purely from Seed and the candidate's graph
-	// index, never from scheduling order. In QueryBatch the same knob
+	// index, never from scheduling order. In QueryBatchCtx the same knob
 	// bounds the pool spread across the batch's queries.
 	Concurrency int
 }
@@ -79,11 +80,12 @@ func (o QueryOptions) withDefaults() QueryOptions {
 
 // Validate reports whether the result-affecting knobs are in range:
 // ε ∈ (0, 1] (0 is accepted as "unset", defaulting to 0.5) and δ ≥ 0.
-// Query applies the same checks internally (QueryTopK only the δ one — it
-// ignores ε); callers that want to reject bad requests up front — before
-// any work, and distinguishable from evaluation failures (the server maps
-// Validate errors to HTTP 400 on all three endpoints, everything
-// downstream to 422) — call this on the untouched options.
+// QueryCtx applies the same checks internally (QueryTopKCtx only the δ
+// one — it ignores ε); callers that want to reject bad requests up front —
+// before any work, and distinguishable from evaluation failures — call
+// this on the untouched options. The server's request Check methods do,
+// so every query endpoint answers a Validate error with HTTP 400 and
+// leaves 422 to evaluation failures.
 func (o QueryOptions) Validate() error {
 	if o.Epsilon < 0 || o.Epsilon > 1 {
 		return fmt.Errorf("core: epsilon %v outside (0,1]", o.Epsilon)
@@ -153,33 +155,18 @@ type Result struct {
 	Stats Stats
 }
 
-// Query runs the full T-PS pipeline for query graph q against the
-// current view, pinned at entry — concurrent mutations neither block nor
+// QueryCtx runs the full T-PS pipeline for query graph q against
+// exactly this generation — concurrent mutations neither block nor
 // disturb it. Candidates are evaluated on a pool of opt.Concurrency
-// workers; see QueryOptions for the determinism guarantee. Query never
-// cancels; it is QueryCtx with context.Background().
-func (db *Database) Query(q *graph.Graph, opt QueryOptions) (*Result, error) {
-	return db.View().Query(q, opt)
-}
-
-// Query on a pinned View is Query against exactly that generation.
-func (v *View) Query(q *graph.Graph, opt QueryOptions) (*Result, error) {
-	return v.query(context.Background(), q, opt, nil)
-}
-
-// QueryCtx is Query under a context: cancellation (or a deadline) is
-// checked at every pipeline stage — before the structural scan, per
-// postings shard, per exact confirmation, per relaxed query during pruner
-// construction, and per candidate in the fused prune+verify loop. A
-// cancelled query returns (nil, ctx.Err()) promptly — one in-flight
-// candidate evaluation per worker at most — leaks no goroutines, and
-// never returns a partial Result. An uncancelled QueryCtx call returns
-// exactly what Query would.
-func (db *Database) QueryCtx(ctx context.Context, q *graph.Graph, opt QueryOptions) (*Result, error) {
-	return db.View().QueryCtx(ctx, q, opt)
-}
-
-// QueryCtx on a pinned View is QueryCtx against exactly that generation.
+// workers; see QueryOptions for the determinism guarantee.
+//
+// Cancellation (or a deadline) is checked at every pipeline stage —
+// before the structural scan, per postings shard, per exact confirmation,
+// per relaxed query during pruner construction, and per candidate in the
+// fused prune+verify loop. A cancelled query returns (nil, ctx.Err())
+// promptly — one in-flight candidate evaluation per worker at most —
+// leaks no goroutines, and never returns a partial Result. An uncancelled
+// call is a pure function of (view, q, opt).
 func (v *View) QueryCtx(ctx context.Context, q *graph.Graph, opt QueryOptions) (*Result, error) {
 	return v.query(ctx, q, opt, nil)
 }
@@ -312,7 +299,7 @@ func (v *View) query(ctx context.Context, q *graph.Graph, opt QueryOptions, cach
 	outs := make([]candOutcome, len(scq))
 	var abort atomic.Bool // first verification error stops remaining work
 	sp = parent.Child("verify")
-	err = forEachIndexCtx(ctx, len(scq), normalizeWorkers(opt.Concurrency, len(scq)), func(i int) {
+	err = pool.ForEachIndexCtx(ctx, len(scq), pool.Normalize(opt.Concurrency, len(scq)), func(i int) {
 		if abort.Load() {
 			return // a pending error makes this candidate's work moot
 		}
@@ -369,11 +356,6 @@ func (v *View) query(ctx context.Context, q *graph.Graph, opt QueryOptions, cach
 // seed is derived from opt.Seed and gi alone, so the estimate for a graph
 // is reproducible regardless of which other graphs are verified, in what
 // order, or on how many workers.
-func (db *Database) VerifySSP(q *graph.Graph, u []*graph.Graph, gi int, opt QueryOptions) (float64, error) {
-	return db.View().VerifySSP(q, u, gi, opt)
-}
-
-// VerifySSP on a pinned View; see the Database method.
 func (v *View) VerifySSP(q *graph.Graph, u []*graph.Graph, gi int, opt QueryOptions) (float64, error) {
 	ssp, _, err := v.verifySSP(q, u, gi, opt)
 	return ssp, err
@@ -415,11 +397,6 @@ func (v *View) collectClauses(u []*graph.Graph, gi, capPerRQ int) []graph.EdgeSe
 
 // ExactSSPByEnumeration computes SSP by full possible-world enumeration —
 // the naive Section 1.1 baseline, used by tests and the smallest benches.
-func (db *Database) ExactSSPByEnumeration(q *graph.Graph, gi, delta int) (float64, error) {
-	return db.View().ExactSSPByEnumeration(q, gi, delta)
-}
-
-// ExactSSPByEnumeration on a pinned View; see the Database method.
 func (v *View) ExactSSPByEnumeration(q *graph.Graph, gi, delta int) (float64, error) {
 	u := relax.Relaxed(q, delta, 0)
 	eng, err := v.Engine(gi)

@@ -115,12 +115,6 @@ func (v *View) SaveRange(w io.Writer, lo, hi int, format SnapshotFormat) error {
 	return pv.SaveAs(w, format)
 }
 
-// SaveRange writes a range partition of the current view; see
-// View.SaveRange.
-func (db *Database) SaveRange(w io.Writer, lo, hi int, format SnapshotFormat) error {
-	return db.View().SaveRange(w, lo, hi, format)
-}
-
 // SaveRangeFile atomically writes a range partition of the current view
 // to path; see View.SaveRange and View.SaveFile.
 func (db *Database) SaveRangeFile(path string, lo, hi int, format SnapshotFormat) error {

@@ -65,11 +65,11 @@ func TestRangePartitionBitwise(t *testing.T) {
 		for _, shards := range []int{2, 3} {
 			parts := partitionAll(t, db, shards)
 			for qi := 0; qi < 3; qi++ {
-				q := dataset.ExtractQuery(db.Graphs()[qi%db.Len()].G, 4, rng)
+				q := dataset.ExtractQuery(db.View().Graphs[qi%db.Len()].G, 4, rng)
 				for _, workers := range []int{1, 4} {
 					opt := QueryOptions{Epsilon: 0.3, Delta: 1, OptBounds: true,
 						Seed: seed + int64(qi), Concurrency: workers}
-					full, err := db.Query(q, opt)
+					full, err := db.View().QueryCtx(context.Background(), q, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -108,9 +108,9 @@ func TestRangePartitionWithTombstones(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(7))
-	q := dataset.ExtractQuery(db.Graphs()[1].G, 4, rng)
+	q := dataset.ExtractQuery(db.View().Graphs[1].G, 4, rng)
 	opt := QueryOptions{Epsilon: 0.3, Delta: 1, OptBounds: true, Seed: 7}
-	full, err := db.Query(q, opt)
+	full, err := db.View().QueryCtx(context.Background(), q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestRangePartitionWithTombstones(t *testing.T) {
 func TestRangeSnapshotRoundTrip(t *testing.T) {
 	db, _ := smallDatabase(t, 5, 10, true)
 	rng := rand.New(rand.NewSource(5))
-	q := dataset.ExtractQuery(db.Graphs()[0].G, 4, rng)
+	q := dataset.ExtractQuery(db.View().Graphs[0].G, 4, rng)
 	opt := QueryOptions{Epsilon: 0.3, Delta: 1, OptBounds: true, Seed: 5}
 	for _, format := range []SnapshotFormat{SnapshotText, SnapshotBinary} {
 		var buf bytes.Buffer
-		if err := db.SaveRange(&buf, 4, 10, format); err != nil {
+		if err := db.View().SaveRange(&buf, 4, 10, format); err != nil {
 			t.Fatal(err)
 		}
 		part, err := LoadDatabase(bytes.NewReader(buf.Bytes()))
@@ -260,18 +260,18 @@ func TestLocalOf(t *testing.T) {
 // top-k at the library level: per-partition bound schedules merged into
 // the serial verification order, SSPs fetched from the owning partition
 // via VerifySSPBatch, serial early-termination rule applied — the result
-// must be bitwise the full database's QueryTopK at every worker count.
+// must be bitwise the full database's QueryTopKCtx at every worker count.
 func TestTopKBoundsDistributedReplay(t *testing.T) {
 	for _, seed := range []int64{3, 9} {
 		db, _ := smallDatabase(t, seed, 12, true)
 		rng := rand.New(rand.NewSource(seed))
-		q := dataset.ExtractQuery(db.Graphs()[2].G, 4, rng)
+		q := dataset.ExtractQuery(db.View().Graphs[2].G, 4, rng)
 		const k = 4
 		opt := QueryOptions{Delta: 1, OptBounds: true, Seed: seed}
 		for _, workers := range []int{1, 4} {
 			wopt := opt
 			wopt.Concurrency = workers
-			full, err := db.QueryTopK(q, k, wopt)
+			full, err := db.View().QueryTopKCtx(context.Background(), q, k, wopt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,16 +64,10 @@ const SnapshotVersion = "pgsnap v3"
 // LoadDatabase for back compatibility.
 const snapshotVersionV1 = "pgsnap v1"
 
-// Save writes the database — graphs, JPTs, mined features, structural
-// filter, PMI, generation, and tombstones — as one snapshot. The view is
-// pinned once at entry, so a snapshot taken under concurrent mutation is
-// one consistent generation. LoadDatabase restores it without any feature
-// mining or bound recomputation.
-func (db *Database) Save(w io.Writer) error {
-	return db.View().Save(w)
-}
-
-// Save writes this exact generation as a snapshot; see Database.Save.
+// Save writes this exact generation — graphs, JPTs, mined features,
+// structural filter, PMI, generation, and tombstones — as one snapshot.
+// LoadDatabase restores it without any feature mining or bound
+// recomputation.
 func (v *View) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, SnapshotVersion)

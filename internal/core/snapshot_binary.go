@@ -44,12 +44,6 @@ const (
 	secGIDs       = 7
 )
 
-// SaveBinary writes the database's current view as a pgsnap v4 binary
-// snapshot; see View.SaveBinary.
-func (db *Database) SaveBinary(w io.Writer) error {
-	return db.View().SaveBinary(w)
-}
-
 // SaveBinary writes this exact generation as a pgsnap v4 binary snapshot.
 // LoadDatabase and OpenSnapshot restore it; the output is deterministic
 // (same view → same bytes).

@@ -17,7 +17,7 @@ import (
 func roundTripBinary(t *testing.T, db *Database) *Database {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := db.SaveBinary(&buf); err != nil {
+	if err := db.View().SaveBinary(&buf); err != nil {
 		t.Fatalf("SaveBinary: %v", err)
 	}
 	got, err := LoadDatabase(bytes.NewReader(buf.Bytes()))
@@ -35,12 +35,12 @@ func TestSnapshotBinaryDifferential(t *testing.T) {
 	text := roundTrip(t, db)
 	bin := roundTripBinary(t, db)
 
-	if bin.Len() != text.Len() || bin.Generation() != text.Generation() {
+	if bin.Len() != text.Len() || bin.View().Generation != text.View().Generation {
 		t.Fatalf("shape diverged: binary %d/gen %d, text %d/gen %d",
-			bin.Len(), bin.Generation(), text.Len(), text.Generation())
+			bin.Len(), bin.View().Generation, text.Len(), text.View().Generation)
 	}
-	for fi := range text.PMI().Entries {
-		if !reflect.DeepEqual(text.PMI().Entries[fi], bin.PMI().Entries[fi]) {
+	for fi := range text.View().PMI.Entries {
+		if !reflect.DeepEqual(text.View().PMI.Entries[fi], bin.View().PMI.Entries[fi]) {
 			t.Fatalf("PMI row %d diverged between text and binary load", fi)
 		}
 	}
@@ -51,11 +51,11 @@ func TestSnapshotBinaryDifferential(t *testing.T) {
 			{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: int64(7 + i)},
 			{Epsilon: 0.6, Delta: 1, Seed: int64(100 + i)},
 		} {
-			want, err := text.Query(q, opt)
+			want, err := text.View().QueryCtx(context.Background(), q, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			have, err := bin.Query(q, opt)
+			have, err := bin.View().QueryCtx(context.Background(), q, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,11 +65,11 @@ func TestSnapshotBinaryDifferential(t *testing.T) {
 		}
 	}
 
-	wantTop, err := text.QueryTopK(qs[0], 3, QueryOptions{Delta: 1, OptBounds: true, Seed: 9})
+	wantTop, err := text.View().QueryTopKCtx(context.Background(), qs[0], 3, QueryOptions{Delta: 1, OptBounds: true, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	haveTop, err := bin.QueryTopK(qs[0], 3, QueryOptions{Delta: 1, OptBounds: true, Seed: 9})
+	haveTop, err := bin.View().QueryTopKCtx(context.Background(), qs[0], 3, QueryOptions{Delta: 1, OptBounds: true, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestSnapshotBinaryDifferential(t *testing.T) {
 	}
 
 	opt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 21, Concurrency: 3}
-	wantBatch, err := text.QueryBatch(qs, opt)
+	wantBatch, err := text.View().QueryBatchCtx(context.Background(), qs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	haveBatch, err := bin.QueryBatch(qs, opt)
+	haveBatch, err := bin.View().QueryBatchCtx(context.Background(), qs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +95,13 @@ func TestSnapshotBinaryDifferential(t *testing.T) {
 
 	sopt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 33}
 	var wantStream, haveStream []Match
-	for m, err := range text.QueryStream(context.Background(), qs[0], sopt) {
+	for m, err := range text.View().QueryStream(context.Background(), qs[0], sopt) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantStream = append(wantStream, m)
 	}
-	for m, err := range bin.QueryStream(context.Background(), qs[0], sopt) {
+	for m, err := range bin.View().QueryStream(context.Background(), qs[0], sopt) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestSnapshotBinaryByteStable(t *testing.T) {
 	}
 
 	var first bytes.Buffer
-	if err := db.SaveBinary(&first); err != nil {
+	if err := db.View().SaveBinary(&first); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err := LoadDatabase(bytes.NewReader(first.Bytes()))
@@ -131,7 +131,7 @@ func TestSnapshotBinaryByteStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var second bytes.Buffer
-	if err := reloaded.SaveBinary(&second); err != nil {
+	if err := reloaded.View().SaveBinary(&second); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -150,17 +150,17 @@ func TestSnapshotBinaryTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := roundTripBinary(t, db)
-	if got.Generation() != db.Generation() || got.Tombstones() != 2 || got.NumLive() != 6 {
+	if got.View().Generation != db.View().Generation || got.View().Tombstones() != 2 || got.View().NumLive() != 6 {
 		t.Fatalf("tombstone state diverged: gen %d/%d, tombs %d, live %d",
-			got.Generation(), db.Generation(), got.Tombstones(), got.NumLive())
+			got.View().Generation, db.View().Generation, got.View().Tombstones(), got.View().NumLive())
 	}
 	q := snapQueries(t, raw, 1)[0]
 	opt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 17}
-	want, err := db.Query(q, opt)
+	want, err := db.View().QueryCtx(context.Background(), q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := got.Query(q, opt)
+	have, err := got.View().QueryCtx(context.Background(), q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,20 +176,20 @@ func TestOpenSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	q := snapQueries(t, raw, 1)[0]
 	opt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 5}
-	want, err := db.Query(q, opt)
+	want, err := db.View().QueryCtx(context.Background(), q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, format := range []SnapshotFormat{SnapshotText, SnapshotBinary} {
 		path := filepath.Join(dir, "snap-"+string(format))
-		if err := db.SaveFile(path, format); err != nil {
+		if err := db.View().SaveFile(path, format); err != nil {
 			t.Fatalf("SaveFile(%s): %v", format, err)
 		}
 		got, err := OpenSnapshot(path)
 		if err != nil {
 			t.Fatalf("OpenSnapshot(%s): %v", format, err)
 		}
-		have, err := got.Query(q, opt)
+		have, err := got.View().QueryCtx(context.Background(), q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,10 +215,10 @@ func TestSnapshotBinaryNoPMI(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := roundTripBinary(t, db)
-	if got.PMI() != nil {
+	if got.View().PMI != nil {
 		t.Fatal("reloaded database unexpectedly has a PMI")
 	}
-	if got.Struct() == nil {
+	if got.View().Struct == nil {
 		t.Fatal("reloaded database lost its structural filter")
 	}
 }
@@ -229,7 +229,7 @@ func TestSaveFileAtomic(t *testing.T) {
 	db, _ := snapDB(t, 6)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap")
-	if err := db.SaveFile(path, SnapshotBinary); err != nil {
+	if err := db.View().SaveFile(path, SnapshotBinary); err != nil {
 		t.Fatal(err)
 	}
 	good, err := os.ReadFile(path)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -32,13 +33,13 @@ func TestLoadV1FixtureSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading v1 fixture: %v", err)
 	}
-	if db.Struct() == nil {
+	if db.View().Struct == nil {
 		t.Fatal("fixture loaded without a structural filter")
 	}
-	if got := db.Struct().ShardSize(); got != simsearch.DefaultShardSize {
+	if got := db.View().Struct.ShardSize(); got != simsearch.DefaultShardSize {
 		t.Fatalf("v1 section shard size = %d, want default %d", got, simsearch.DefaultShardSize)
 	}
-	if shards, entries := db.Struct().PostingsStats(); shards < 1 || entries < 1 {
+	if shards, entries := db.View().Struct.PostingsStats(); shards < 1 || entries < 1 {
 		t.Fatalf("postings not rebuilt from v1 counts: %d shards, %d entries", shards, entries)
 	}
 
@@ -70,7 +71,7 @@ func TestLoadV1FixtureSnapshot(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		o := opt
 		o.Concurrency = workers
-		res, err := db.Query(q, o)
+		res, err := db.View().QueryCtx(context.Background(), q, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func TestLoadV1FixtureSnapshot(t *testing.T) {
 
 	// Re-saving writes the current format, which must round-trip bitwise.
 	var first bytes.Buffer
-	if err := db.Save(&first); err != nil {
+	if err := db.View().Save(&first); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(first.Bytes(), []byte("simsearch v2 ")) {
@@ -110,7 +111,7 @@ func TestLoadV1FixtureSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var second bytes.Buffer
-	if err := db2.Save(&second); err != nil {
+	if err := db2.View().Save(&second); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -135,9 +136,9 @@ func TestLoadV2FixtureSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading v2 fixture: %v", err)
 	}
-	if db.Generation() != 1 || db.Tombstones() != 0 {
+	if db.View().Generation != 1 || db.View().Tombstones() != 0 {
 		t.Fatalf("v2 fixture restored at generation %d with %d tombstones, want 1 and 0",
-			db.Generation(), db.Tombstones())
+			db.View().Generation, db.View().Tombstones())
 	}
 
 	q := fixtureQuery(t, "v2_tiny_query.pgraph")
@@ -146,7 +147,7 @@ func TestLoadV2FixtureSnapshot(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		o := opt
 		o.Concurrency = workers
-		res, err := db.Query(q, o)
+		res, err := db.View().QueryCtx(context.Background(), q, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +155,7 @@ func TestLoadV2FixtureSnapshot(t *testing.T) {
 	}
 
 	var first bytes.Buffer
-	if err := db.Save(&first); err != nil {
+	if err := db.View().Save(&first); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(first.Bytes(), []byte(SnapshotVersion+"\n")) {
@@ -165,7 +166,7 @@ func TestLoadV2FixtureSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var second bytes.Buffer
-	if err := db2.Save(&second); err != nil {
+	if err := db2.View().Save(&second); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -198,7 +199,7 @@ func TestMutateFixtureSaveV3Replay(t *testing.T) {
 
 		// Mutate: insert a copy of slot 0's graph, tombstone a recorded
 		// answer.
-		if _, _, err := db.AddGraph(db.Graphs()[0]); err != nil {
+		if _, _, err := db.AddGraph(db.View().Graphs[0]); err != nil {
 			t.Fatalf("%s: add: %v", fixture, err)
 		}
 		if _, err := db.RemoveGraph(victim); err != nil {
@@ -206,7 +207,7 @@ func TestMutateFixtureSaveV3Replay(t *testing.T) {
 		}
 
 		var v3 bytes.Buffer
-		if err := db.Save(&v3); err != nil {
+		if err := db.View().Save(&v3); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.HasPrefix(v3.Bytes(), []byte(SnapshotVersion+"\n")) {
@@ -220,12 +221,12 @@ func TestMutateFixtureSaveV3Replay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reloading v3: %v", fixture, err)
 		}
-		if reloaded.Generation() != 3 || reloaded.Tombstones() != 1 {
+		if reloaded.View().Generation != 3 || reloaded.View().Tombstones() != 1 {
 			t.Fatalf("%s: reloaded gen=%d tombs=%d, want 3 and 1",
-				fixture, reloaded.Generation(), reloaded.Tombstones())
+				fixture, reloaded.View().Generation, reloaded.View().Tombstones())
 		}
 		var again bytes.Buffer
-		if err := reloaded.Save(&again); err != nil {
+		if err := reloaded.View().Save(&again); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(v3.Bytes(), again.Bytes()) {
@@ -236,7 +237,7 @@ func TestMutateFixtureSaveV3Replay(t *testing.T) {
 		// tombstoned one, SSP bitwise for every surviving recorded
 		// candidate. The inserted graph occupies a fresh slot (>= the
 		// original length) with no recorded estimate — it is ignored.
-		res, err := reloaded.Query(q, QueryOptions{Epsilon: 0.3, Delta: 2, OptBounds: true, Seed: BatchSeed(5, 0)})
+		res, err := reloaded.View().QueryCtx(context.Background(), q, QueryOptions{Epsilon: 0.3, Delta: 2, OptBounds: true, Seed: BatchSeed(5, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,11 +42,6 @@ func (v *View) SaveAs(w io.Writer, format SnapshotFormat) error {
 	return fmt.Errorf("core: unknown snapshot format %q", format)
 }
 
-// SaveAs writes the current view in the given format.
-func (db *Database) SaveAs(w io.Writer, format SnapshotFormat) error {
-	return db.View().SaveAs(w, format)
-}
-
 // SaveFile atomically writes the view to path in the given format: the
 // snapshot is written to a temporary file in the same directory, synced,
 // and renamed over path — a crash mid-save can truncate only the
@@ -55,11 +50,6 @@ func (v *View) SaveFile(path string, format SnapshotFormat) error {
 	return writeFileAtomic(path, func(w io.Writer) error {
 		return v.SaveAs(w, format)
 	})
-}
-
-// SaveFile atomically writes the current view to path; see View.SaveFile.
-func (db *Database) SaveFile(path string, format SnapshotFormat) error {
-	return db.View().SaveFile(path, format)
 }
 
 // OpenSnapshot loads a snapshot from a file, format-sniffed. A binary

@@ -7,10 +7,11 @@ import (
 
 	"probgraph/internal/graph"
 	"probgraph/internal/obs"
+	"probgraph/internal/pool"
 	"probgraph/internal/relax"
 )
 
-// Match is one verified answer delivered by Database.QueryStream: a
+// Match is one verified answer delivered by View.QueryStream: a
 // database graph index and the SSP reported for it. SSP mirrors
 // Result.SSP: verified answers carry their estimate, direct lower-bound
 // accepts (and VerifierNone answers) carry -1 — they were admitted without
@@ -30,7 +31,7 @@ type Match struct {
 // Delivery order is arrival order — whichever candidate finishes first —
 // and therefore scheduling-dependent. The *set* is not: every per-match
 // outcome is a pure function of (Seed, graph index), so the collected
-// stream, re-sorted by Match.Graph, is bitwise-identical to Query's
+// stream, re-sorted by Match.Graph, is bitwise-identical to QueryCtx's
 // Answers and SSP estimates at every worker count. Determinism lives in
 // the set, arrival order is the only nondeterminism.
 //
@@ -45,14 +46,6 @@ type Match struct {
 //
 // Matches that were already yielded are never retracted; a consumer that
 // only needs the first few answers can break as soon as it has them.
-func (db *Database) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions) iter.Seq2[Match, error] {
-	// The view is pinned here — when the stream is created — not when the
-	// consumer starts ranging; either way no mutation committed later can
-	// reach a started stream.
-	return db.View().QueryStream(ctx, q, opt)
-}
-
-// QueryStream on a pinned View; see the Database method.
 func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions) iter.Seq2[Match, error] {
 	return func(yield func(Match, error) bool) {
 		opt = opt.withDefaults()
@@ -104,7 +97,7 @@ func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions
 		}
 
 		// Fan the candidates out over the shared worker pool
-		// (forEachIndexCtx, per-candidate cancellation like every other
+		// (pool.ForEachIndexCtx, per-candidate cancellation like every other
 		// parallel phase). Workers push each admitted match (or the first
 		// evaluation error) onto an unbuffered channel; the consumer side
 		// of the rendezvous is this iterator's yield loop, so
@@ -129,7 +122,7 @@ func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions
 		go func() {
 			defer close(finished)
 			sp := parent.Child("verify")
-			forEachIndexCtx(inner, len(scq), normalizeWorkers(opt.Concurrency, len(scq)), func(i int) {
+			pool.ForEachIndexCtx(inner, len(scq), pool.Normalize(opt.Concurrency, len(scq)), func(i int) {
 				gi := scq[i]
 				o := v.evalCandidate(q, u, pr, gi, opt)
 				if o.err != nil {

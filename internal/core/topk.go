@@ -9,6 +9,7 @@ import (
 
 	"probgraph/internal/graph"
 	"probgraph/internal/obs"
+	"probgraph/internal/pool"
 	"probgraph/internal/relax"
 )
 
@@ -18,11 +19,11 @@ type TopKItem struct {
 	SSP   float64 // estimated subgraph similarity probability
 }
 
-// QueryTopK returns the k database graphs with the highest SSP for q at
-// distance δ, ranked descending. It extends the paper's threshold queries
-// the way its bounds machinery invites: candidates are verified in
-// decreasing Usim order, and verification stops as soon as the next
-// candidate's upper bound cannot beat the current k-th best SSP.
+// QueryTopKCtx returns the k graphs of this generation with the highest
+// SSP for q at distance δ, ranked descending. It extends the paper's
+// threshold queries the way its bounds machinery invites: candidates are
+// verified in decreasing Usim order, and verification stops as soon as the
+// next candidate's upper bound cannot beat the current k-th best SSP.
 // QueryOptions.Epsilon is ignored.
 //
 // With opt.Concurrency > 1 both the bound computation and the verification
@@ -33,27 +34,12 @@ type TopKItem struct {
 // serial run at any worker count. Speculation past the serial cutoff is
 // bounded and its results are discarded, costing only wasted work, never
 // a changed answer.
-func (db *Database) QueryTopK(q *graph.Graph, k int, opt QueryOptions) ([]TopKItem, error) {
-	return db.View().QueryTopKCtx(context.Background(), q, k, opt)
-}
-
-// QueryTopK on a pinned View is QueryTopK against exactly that
-// generation.
-func (v *View) QueryTopK(q *graph.Graph, k int, opt QueryOptions) ([]TopKItem, error) {
-	return v.QueryTopKCtx(context.Background(), q, k, opt)
-}
-
-// QueryTopKCtx is QueryTopK under a context. Cancellation is checked at
-// every stage — structural scan (shard granularity), bound computation and
-// verification (candidate granularity) — and wakes workers blocked on the
-// speculation window, so a cancelled call returns (nil, ctx.Err())
-// promptly without leaking goroutines. An uncancelled call returns exactly
-// QueryTopK's ranking.
-func (db *Database) QueryTopKCtx(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) ([]TopKItem, error) {
-	return db.View().QueryTopKCtx(ctx, q, k, opt)
-}
-
-// QueryTopKCtx on a pinned View; see the Database method.
+//
+// Cancellation is checked at every stage — structural scan (shard
+// granularity), bound computation and verification (candidate
+// granularity) — and wakes workers blocked on the speculation window, so
+// a cancelled call returns (nil, ctx.Err()) promptly without leaking
+// goroutines.
 func (v *View) QueryTopKCtx(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) ([]TopKItem, error) {
 	opt = opt.withDefaults()
 	if k <= 0 {
@@ -82,7 +68,7 @@ func (v *View) QueryTopKCtx(ctx context.Context, q *graph.Graph, k int, opt Quer
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	workers := normalizeWorkers(opt.Concurrency, len(cands))
+	workers := pool.Normalize(opt.Concurrency, len(cands))
 
 	// Verification with bound-based early termination. Workers verify
 	// candidates speculatively in schedule order; a sequential commit
@@ -256,7 +242,7 @@ type TopKBound struct {
 // global id, so partitions agree bitwise with the full database), sorted
 // by the serial verification order. It also returns the relaxed query set
 // the verification phase needs. An empty candidate set returns (nil, u,
-// nil). Spans attach under the context's span as in Query.
+// nil). Spans attach under the context's span as in QueryCtx.
 func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, opt QueryOptions) ([]TopKBound, []*graph.Graph, error) {
 	parent := obs.SpanFrom(ctx)
 	sp := parent.Child("struct_filter")
@@ -271,7 +257,7 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, opt QueryOption
 	if len(scq) == 0 {
 		return nil, u, nil
 	}
-	workers := normalizeWorkers(opt.Concurrency, len(scq))
+	workers := pool.Normalize(opt.Concurrency, len(scq))
 
 	// Upper bounds order the verification schedule. Each candidate's bound
 	// draws from its own candSeed-derived rng, so the schedule is the same
@@ -284,7 +270,7 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, opt QueryOption
 			sp.End()
 			return nil, nil, err
 		}
-		err = forEachIndexCtx(ctx, len(scq), workers, func(i int) {
+		err = pool.ForEachIndexCtx(ctx, len(scq), workers, func(i int) {
 			gi := scq[i]
 			sc := getScratch(candSeed(opt.Seed^pruneSalt, v.GID(gi)))
 			sc.entries = v.PMI.LookupInto(gi, sc.entries[:0])
@@ -322,7 +308,7 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, opt QueryOption
 // A distributed coordinator calls this on every shard, merges the
 // schedules by (Upper, global id), and replays the serial early-
 // termination rule over the union — fetching SSPs via VerifySSPBatch —
-// to reproduce QueryTopK bitwise.
+// to reproduce QueryTopKCtx bitwise.
 //
 // The degenerate return (δ ≥ |E(q)|, where every live graph matches with
 // SSP 1) lists the first k live slots with Upper 1 and degenerate=true;
@@ -354,9 +340,10 @@ func (v *View) QueryTopKBounds(ctx context.Context, q *graph.Graph, k int, opt Q
 
 // VerifySSPBatch verifies the SSP of q against each of the given slots on
 // the worker pool, returning the estimates in input order. The relaxed
-// query set is derived internally (as Query and QueryTopK derive it), and
-// each slot's estimate seeds from its global id alone — the same value
-// VerifySSP returns, independent of batching, order, or worker count.
+// query set is derived internally (as QueryCtx and QueryTopKCtx derive
+// it), and each slot's estimate seeds from its global id alone — the same
+// value VerifySSP returns, independent of batching, order, or worker
+// count.
 func (v *View) VerifySSPBatch(ctx context.Context, q *graph.Graph, gis []int, opt QueryOptions) ([]float64, error) {
 	opt = opt.withDefaults()
 	if opt.Delta < 0 {
@@ -368,8 +355,8 @@ func (v *View) VerifySSPBatch(ctx context.Context, q *graph.Graph, gis []int, op
 	u := relax.Relaxed(q, opt.Delta, opt.MaxRelaxed)
 	out := make([]float64, len(gis))
 	errs := make([]error, len(gis))
-	workers := normalizeWorkers(opt.Concurrency, len(gis))
-	err := forEachIndexCtx(ctx, len(gis), workers, func(i int) {
+	workers := pool.Normalize(opt.Concurrency, len(gis))
+	err := pool.ForEachIndexCtx(ctx, len(gis), workers, func(i int) {
 		out[i], errs[i] = v.VerifySSP(q, u, gis[i], opt)
 	})
 	if err != nil {
@@ -383,52 +370,38 @@ func (v *View) VerifySSPBatch(ctx context.Context, q *graph.Graph, gis []int, op
 	return out, nil
 }
 
-// QueryBatch answers many queries over one bounded worker pool of
+// QueryBatchCtx answers many queries over one bounded worker pool of
 // opt.Concurrency goroutines (0 or 1 serial, negative GOMAXPROCS) and
-// returns their results in input order. Query i runs with the derived seed
-// BatchSeed(opt.Seed, i), so its result is bitwise-identical to calling
-// Query with that seed directly — batching never changes answers.
+// returns their results in input order. Every member runs against this
+// same generation — a batch is one consistent read of the database.
+// Query i runs with the derived seed BatchSeed(opt.Seed, i), so its
+// result is bitwise-identical to calling QueryCtx with that seed directly
+// — batching never changes answers.
 //
 // The pool is spread across queries first; leftover capacity (when the
 // pool is larger than the batch) parallelizes candidates inside each
 // query. Queries additionally share one feature-relation cache, amortizing
 // the query-side feature/relaxed-query isomorphism tests that dominate
 // pruner setup when the batch's queries overlap structurally.
-func (db *Database) QueryBatch(qs []*graph.Graph, opt QueryOptions) ([]*Result, error) {
-	return db.View().QueryBatchCtx(context.Background(), qs, opt)
-}
-
-// QueryBatch on a pinned View is QueryBatch against exactly that
-// generation.
-func (v *View) QueryBatch(qs []*graph.Graph, opt QueryOptions) ([]*Result, error) {
-	return v.QueryBatchCtx(context.Background(), qs, opt)
-}
-
-// QueryBatchCtx is QueryBatch under a context. The context is shared by
-// every member query — cancellation stops the whole batch (member queries
-// check it per pipeline stage and per candidate) and the call returns
-// (nil, ctx.Err()); there are no partial batch results. An uncancelled
-// call returns exactly QueryBatch's results.
-func (db *Database) QueryBatchCtx(ctx context.Context, qs []*graph.Graph, opt QueryOptions) ([]*Result, error) {
-	return db.View().QueryBatchCtx(ctx, qs, opt)
-}
-
-// QueryBatchCtx on a pinned View: every member query runs against the
-// same generation — a batch is one consistent read of the database.
+//
+// The context is shared by every member query — cancellation stops the
+// whole batch (member queries check it per pipeline stage and per
+// candidate) and the call returns (nil, ctx.Err()); there are no partial
+// batch results.
 func (v *View) QueryBatchCtx(ctx context.Context, qs []*graph.Graph, opt QueryOptions) ([]*Result, error) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
-	workers := normalizeWorkers(opt.Concurrency, len(qs))
+	workers := pool.Normalize(opt.Concurrency, len(qs))
 	inner := 1
-	if w := normalizeWorkers(opt.Concurrency, len(qs)*v.Len()); w > workers {
+	if w := pool.Normalize(opt.Concurrency, len(qs)*v.Len()); w > workers {
 		inner = w / workers
 	}
 	cache := newRelCache()
 	results := make([]*Result, len(qs))
 	errs := make([]error, len(qs))
 	var abort atomic.Bool // first failed query stops remaining work
-	err := forEachIndexCtx(ctx, len(qs), workers, func(i int) {
+	err := pool.ForEachIndexCtx(ctx, len(qs), workers, func(i int) {
 		if abort.Load() {
 			return
 		}

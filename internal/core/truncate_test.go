@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"probgraph/internal/graph"
@@ -40,7 +41,7 @@ func TestVerifyTruncatedCounted(t *testing.T) {
 
 	qo := QueryOptions{Epsilon: 0.5, MaxClausesPerRQ: 1000, Seed: 3}
 	qo.Verify.N = 100
-	res, err := db.Query(q, qo)
+	res, err := db.View().QueryCtx(context.Background(), q, qo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestVerifyTruncatedCounted(t *testing.T) {
 		t.Fatalf("stats %+v: want 1 verified, 1 truncated", res.Stats)
 	}
 	qo.Verify.MaxClauses = 1000
-	res, err = db.Query(q, qo)
+	res, err = db.View().QueryCtx(context.Background(), q, qo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -188,7 +189,7 @@ func (e *Env) defaultQO(seed int64) core.QueryOptions {
 func (e *Env) verificationCandidates(q *graph.Graph, seed int64) ([]int, error) {
 	qo := e.defaultQO(seed)
 	qo.Verifier = core.VerifierNone
-	res, err := e.DB.Query(q, qo)
+	res, err := e.DB.View().QueryCtx(context.Background(), q, qo)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +221,7 @@ func (e *Env) Fig9a() (*stats.Table, error) {
 			for _, gi := range cands {
 				qo := e.defaultQO(int64(qi))
 				start := time.Now()
-				if _, err := e.DB.VerifySSP(q, u, gi, qo); err != nil {
+				if _, err := e.DB.View().VerifySSP(q, u, gi, qo); err != nil {
 					return nil, err
 				}
 				smpMS = append(smpMS, ms(time.Since(start)))
@@ -228,7 +229,7 @@ func (e *Env) Fig9a() (*stats.Table, error) {
 				qo.Verifier = core.VerifierExact
 				qo.Verify.MaxClauses = 18
 				start = time.Now()
-				if _, err := e.DB.VerifySSP(q, u, gi, qo); err == nil {
+				if _, err := e.DB.View().VerifySSP(q, u, gi, qo); err == nil {
 					exactMS = append(exactMS, ms(time.Since(start)))
 				} else {
 					capped++ // inclusion–exclusion beyond 2^18 terms
@@ -261,13 +262,13 @@ func (e *Env) Fig9b() (*stats.Table, error) {
 			}
 			for _, gi := range cands {
 				qo := e.defaultQO(int64(qi))
-				smp, err := e.DB.VerifySSP(q, u, gi, qo)
+				smp, err := e.DB.View().VerifySSP(q, u, gi, qo)
 				if err != nil {
 					return nil, err
 				}
 				qo.Verifier = core.VerifierExact
 				qo.Verify.MaxClauses = 18
-				exact, err := e.DB.VerifySSP(q, u, gi, qo)
+				exact, err := e.DB.View().VerifySSP(q, u, gi, qo)
 				if err != nil {
 					continue // exact infeasible for this graph
 				}
@@ -311,7 +312,7 @@ func (e *Env) pruneOnce(db *core.Database, q *graph.Graph, eps float64, delta in
 		Concurrency: e.Cfg.Workers,
 	}
 	start := time.Now()
-	res, err := db.Query(q, qo)
+	res, err := db.View().QueryCtx(context.Background(), q, qo)
 	if err != nil {
 		return pruneProfile{}, err
 	}
@@ -338,7 +339,7 @@ func (e *Env) Fig10() (*stats.Table, *stats.Table, error) {
 			qo := core.QueryOptions{Epsilon: eps, Delta: e.P.defaultDelta,
 				SkipProbPruning: true, Verifier: core.VerifierNone, Seed: int64(qi)}
 			start := time.Now()
-			res, err := e.DB.Query(q, qo)
+			res, err := e.DB.View().QueryCtx(context.Background(), q, qo)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -385,7 +386,7 @@ func (e *Env) Fig11() (*stats.Table, *stats.Table, error) {
 			qo := core.QueryOptions{Epsilon: e.P.defaultEpsilon, Delta: delta,
 				SkipProbPruning: true, Verifier: core.VerifierNone, Seed: int64(qi)}
 			start := time.Now()
-			res, err := e.DB.Query(q, qo)
+			res, err := e.DB.View().QueryCtx(context.Background(), q, qo)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -441,7 +442,7 @@ func (e *Env) Fig12() ([]*stats.Table, error) {
 		for qi, q := range qs {
 			qo := core.QueryOptions{Epsilon: e.P.defaultEpsilon, Delta: e.P.defaultDelta,
 				SkipProbPruning: true, Verifier: core.VerifierNone, Seed: int64(qi)}
-			res, err := e.DB.Query(q, qo)
+			res, err := e.DB.View().QueryCtx(context.Background(), q, qo)
 			if err != nil {
 				return nil, err
 			}
@@ -456,7 +457,7 @@ func (e *Env) Fig12() ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		a.AddRow(maxL, structureBaseline, c, db.Build().Features)
+		a.AddRow(maxL, structureBaseline, c, db.View().Build.Features)
 	}
 
 	b := stats.NewTable("Figure 12b — candidate size vs α",
@@ -468,7 +469,7 @@ func (e *Env) Fig12() ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.AddRow(alpha, structureBaseline, c, db.Build().Features)
+		b.AddRow(alpha, structureBaseline, c, db.View().Build.Features)
 	}
 
 	c := stats.NewTable("Figure 12c — index building time vs β",
@@ -481,7 +482,7 @@ func (e *Env) Fig12() ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.AddRow(beta, ms(time.Since(start)), db.Build().Features)
+		c.AddRow(beta, ms(time.Since(start)), db.View().Build.Features)
 	}
 
 	d := stats.NewTable("Figure 12d — index size vs γ",
@@ -493,7 +494,8 @@ func (e *Env) Fig12() ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.AddRow(gamma, float64(db.Build().IndexSizeBytes)/1024, db.Build().Features)
+		build := db.View().Build
+		d.AddRow(gamma, float64(build.IndexSizeBytes)/1024, build.Features)
 	}
 	return []*stats.Table{a, b, c, d}, nil
 }
@@ -527,7 +529,7 @@ func (e *Env) Fig13() (*stats.Table, error) {
 			qo := e.defaultQO(int64(qi))
 			qo.Delta = delta
 			start := time.Now()
-			if _, err := db.Query(q, qo); err != nil {
+			if _, err := db.View().QueryCtx(context.Background(), q, qo); err != nil {
 				return nil, err
 			}
 			pmiMS = append(pmiMS, ms(time.Since(start)))
@@ -546,7 +548,7 @@ func (e *Env) Fig13() (*stats.Table, error) {
 				for gi := range raw.Graphs {
 					// Exact scans every graph, no pruning at all.
 					totalGraphs++
-					if _, err := db.VerifySSP(q, u, gi, qo); err != nil {
+					if _, err := db.View().VerifySSP(q, u, gi, qo); err != nil {
 						cappedGraphs++ // > 2^20 I-E terms: infeasible
 					}
 				}
@@ -646,7 +648,7 @@ func (e *Env) Fig14() (*stats.Table, error) {
 				ps *[]float64
 				rs *[]float64
 			}{{cor, &cp, &cr}, {indR, &rp, &rr}, {ind, &ip, &ir}} {
-				res, err := cfg.db.Query(s.q, qo)
+				res, err := cfg.db.View().QueryCtx(context.Background(), s.q, qo)
 				if err != nil {
 					return nil, err
 				}
@@ -663,8 +665,8 @@ func (e *Env) Fig14() (*stats.Table, error) {
 }
 
 // Scaling measures the concurrent engine: the default query workload runs
-// at increasing worker counts, per-query (Concurrency inside one Query)
-// and batched (the pool spread across queries by QueryBatch). Answer sets
+// at increasing worker counts, per-query (Concurrency inside one QueryCtx)
+// and batched (the pool spread across queries by QueryBatchCtx). Answer sets
 // are asserted identical to the serial run at every setting — the table
 // only reports time. Not a paper figure; it validates the ROADMAP's
 // parallel-engine direction.
@@ -684,7 +686,7 @@ func (e *Env) Scaling(workerCounts []int) (*stats.Table, error) {
 			qo := e.defaultQO(int64(qi))
 			qo.Concurrency = w
 			start := time.Now()
-			res, err := e.DB.Query(q, qo)
+			res, err := e.DB.View().QueryCtx(context.Background(), q, qo)
 			if err != nil {
 				return nil, err
 			}
@@ -696,7 +698,7 @@ func (e *Env) Scaling(workerCounts []int) (*stats.Table, error) {
 		qo := e.defaultQO(0)
 		qo.Concurrency = w
 		start := time.Now()
-		batchRes, err := e.DB.QueryBatch(qs, qo)
+		batchRes, err := e.DB.View().QueryBatchCtx(context.Background(), qs, qo)
 		if err != nil {
 			return nil, err
 		}
@@ -782,7 +784,7 @@ func (e *Env) Filter(workerCounts []int) (*stats.Table, error) {
 			start = time.Now()
 			for rep := 0; rep < reps; rep++ {
 				for _, q := range qs {
-					ix.Candidates(q, e.P.defaultDelta, w)
+					ix.CandidatesCtx(context.Background(), q, e.P.defaultDelta, w)
 				}
 			}
 			postMS := ms(time.Since(start)) / float64(reps*len(qs))
@@ -793,7 +795,10 @@ func (e *Env) Filter(workerCounts []int) (*stats.Table, error) {
 		}
 		// Identity check: the postings path must return the dense answer.
 		for _, q := range qs {
-			a := ix.Candidates(q, e.P.defaultDelta, workerCounts[len(workerCounts)-1])
+			a, err := ix.CandidatesCtx(context.Background(), q, e.P.defaultDelta, workerCounts[len(workerCounts)-1])
+			if err != nil {
+				return nil, err
+			}
 			b := ix.CandidatesDense(q, e.P.defaultDelta)
 			if !slices.Equal(a, b) {
 				return nil, fmt.Errorf("experiments: postings candidates diverge from dense at size %d", size)
@@ -897,7 +902,7 @@ func (e *Env) Churn(rates []float64) (*stats.Table, error) {
 			}
 			q := qs[i%len(qs)]
 			start := time.Now()
-			if _, err := db.Query(q, opt); err != nil {
+			if _, err := db.View().QueryCtx(context.Background(), q, opt); err != nil {
 				close(stop)
 				return nil, err
 			}
@@ -910,7 +915,7 @@ func (e *Env) Churn(rates []float64) (*stats.Table, error) {
 		}
 		slices.Sort(lat)
 		t.AddRow(rate, percentile(lat, 0.50), percentile(lat, 0.99),
-			len(lat), mutations, db.Generation())
+			len(lat), mutations, db.View().Generation)
 	}
 	return t, nil
 }
@@ -924,8 +929,8 @@ func (e *Env) Churn(rates []float64) (*stats.Table, error) {
 // deterministic for a given scale and seed, so two runs differ only in
 // the latency columns — exactly the cells a baseline comparison checks.
 //
-// Workloads: "query" (Database.Query per query), "topk" (QueryTopK with
-// k=5), "batch" (one QueryBatch call over the whole query set per
+// Workloads: "query" (View.QueryCtx per query), "topk" (QueryTopKCtx
+// with k=5), "batch" (one QueryBatchCtx call over the whole query set per
 // sample), and "load_binary" (LoadDatabase over an in-memory pgsnap v4
 // image — the pgserve cold-start path minus the page faults).
 //
@@ -943,7 +948,7 @@ func (e *Env) Perf() (*stats.Table, error) {
 	const loadSamples = 12
 
 	var img bytes.Buffer
-	if err := e.DB.SaveBinary(&img); err != nil {
+	if err := e.DB.View().SaveBinary(&img); err != nil {
 		return nil, err
 	}
 
@@ -955,7 +960,7 @@ func (e *Env) Perf() (*stats.Table, error) {
 		{"query", samplesPerQuery * len(qs), nil},
 		{"topk", samplesPerQuery * len(qs), nil},
 		{"batch", batchSamples, func() error {
-			_, err := e.DB.QueryBatch(qs, opt)
+			_, err := e.DB.View().QueryBatchCtx(context.Background(), qs, opt)
 			return err
 		}},
 		{"load_binary", loadSamples, func() error {
@@ -965,12 +970,12 @@ func (e *Env) Perf() (*stats.Table, error) {
 	}
 	qi := 0
 	workloads[0].run = func() error {
-		_, err := e.DB.Query(qs[qi%len(qs)], opt)
+		_, err := e.DB.View().QueryCtx(context.Background(), qs[qi%len(qs)], opt)
 		qi++
 		return err
 	}
 	workloads[1].run = func() error {
-		_, err := e.DB.QueryTopK(qs[qi%len(qs)], 5, opt)
+		_, err := e.DB.View().QueryTopKCtx(context.Background(), qs[qi%len(qs)], 5, opt)
 		qi++
 		return err
 	}

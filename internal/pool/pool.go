@@ -4,11 +4,10 @@
 // primitive, so the QueryOptions.Concurrency knob has a single meaning
 // everywhere: it bounds goroutines, never changes results.
 //
-// The context-aware entry point ForEachIndexCtx is the cancellation
-// backbone of the query engine: cancellation is checked once per work
-// item, so a cancelled query stops at item granularity (one candidate
-// evaluation, one postings shard) without ever changing the result of
-// items that did complete.
+// ForEachIndexCtx is the cancellation backbone of the query engine:
+// cancellation is checked once per work item, so a cancelled query stops
+// at item granularity (one candidate evaluation, one postings shard)
+// without ever changing the result of items that did complete.
 package pool
 
 import (
@@ -38,19 +37,15 @@ func Normalize(concurrency, n int) int {
 	return w
 }
 
-// ForEachIndex runs fn(i) for every i in [0, n) on a bounded pool of
+// ForEachIndexCtx runs fn(i) for every i in [0, n) on a bounded pool of
 // `workers` goroutines (serially when workers <= 1). fn must confine its
 // writes to per-index slots; indices are handed out by an atomic counter,
 // so completion order is unspecified.
-func ForEachIndex(n, workers int, fn func(i int)) {
-	ForEachIndexCtx(context.Background(), n, workers, fn)
-}
-
-// ForEachIndexCtx is ForEachIndex with cooperative cancellation: ctx is
-// checked before each index is handed out, and once it is done no further
-// fn call starts. Indices already dispatched run to completion — fn is
-// never interrupted mid-call — and every worker goroutine has exited by
-// the time ForEachIndexCtx returns, so a cancelled loop leaks nothing.
+//
+// ctx is checked before each index is handed out, and once it is done no
+// further fn call starts. Indices already dispatched run to completion —
+// fn is never interrupted mid-call — and every worker goroutine has exited
+// by the time ForEachIndexCtx returns, so a cancelled loop leaks nothing.
 // The return value is ctx.Err() when the loop stopped early, nil when all
 // n indices ran.
 func ForEachIndexCtx(ctx context.Context, n, workers int, fn func(i int)) error {

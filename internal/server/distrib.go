@@ -17,8 +17,8 @@ var (
 )
 
 // This file is the shard side of distributed serving (see
-// internal/cluster): request validation the coordinator reuses before
-// fanning out, and the two shard-internal endpoints the distributed
+// internal/cluster): the request validation pgserve and the coordinator
+// share, and the two shard-internal endpoints the distributed
 // top-k replay needs — /topk/bounds (the verification schedule, no
 // verification) and /topk/verify (SSPs for an explicit global-id list).
 // Both speak global graph ids on the wire, like every other endpoint on
@@ -26,64 +26,80 @@ var (
 
 // Check validates every result-affecting knob of the request — the query
 // graph parses, the verifier is known, ε/δ are in range, timeout_ms is
-// non-negative — and returns the parsed query. The coordinator calls it
-// before fanning a request out, so a malformed request is rejected with
-// one 400 instead of N shard round-trips; the semantics are exactly the
-// single-node handlers' bad-request path.
-func (req *QueryRequest) Check() (*graph.Graph, error) {
+// non-negative — and returns the parsed query with its engine options.
+// It is the one validation step of every query endpoint on pgserve and on
+// the coordinator, so both answer a malformed request with the same 400;
+// the coordinator runs it before fanning out, so a bad request costs one
+// 400 instead of N shard round-trips. Concurrency is the request's workers
+// knob as given: 0 leaves the server default.
+func (req *QueryRequest) Check() (*graph.Graph, core.QueryOptions, error) {
 	q, err := parseGraphPayload(req.Graph, req.GraphText)
 	if err != nil {
-		return nil, err
+		return nil, core.QueryOptions{}, err
 	}
-	if _, err := verifierKind(req.Verifier); err != nil {
-		return nil, err
+	opt, err := checkOptions(req.Epsilon, req.Delta, req.Verifier, req.Plain, req.Seed, req.Workers, req.TimeoutMS)
+	if err != nil {
+		return nil, core.QueryOptions{}, err
 	}
-	opt := core.QueryOptions{Epsilon: req.Epsilon, Delta: req.Delta}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkTimeoutMS(req.TimeoutMS); err != nil {
-		return nil, err
-	}
-	return q, nil
+	return q, opt, nil
 }
 
-// Check validates a batch request the way /batch does (either queries or
-// query_texts, at least one member, every member parses, options in
-// range) and returns the parsed members in request order.
-func (req *BatchRequest) Check() ([]*graph.Graph, error) {
+// Check validates a batch request the way QueryRequest.Check validates a
+// query (either queries or query_texts, at least one member, every member
+// parses, options in range) and returns the parsed members in request
+// order with the options they share.
+func (req *BatchRequest) Check() ([]*graph.Graph, core.QueryOptions, error) {
 	if len(req.Queries) > 0 && len(req.QueryTexts) > 0 {
-		return nil, errBatchBothPayloads
+		return nil, core.QueryOptions{}, errBatchBothPayloads
 	}
 	var qs []*graph.Graph
 	for i := range req.Queries {
 		q, err := GraphFromJSON(&req.Queries[i])
 		if err != nil {
-			return nil, fmt.Errorf("query %d: %v", i, err)
+			return nil, core.QueryOptions{}, fmt.Errorf("query %d: %v", i, err)
 		}
 		qs = append(qs, q)
 	}
 	for i, text := range req.QueryTexts {
 		q, err := parseGraphPayload(nil, text)
 		if err != nil {
-			return nil, fmt.Errorf("query %d: %v", i, err)
+			return nil, core.QueryOptions{}, fmt.Errorf("query %d: %v", i, err)
 		}
 		qs = append(qs, q)
 	}
 	if len(qs) == 0 {
-		return nil, errBatchEmpty
+		return nil, core.QueryOptions{}, errBatchEmpty
 	}
-	if _, err := verifierKind(req.Verifier); err != nil {
-		return nil, err
+	opt, err := checkOptions(req.Epsilon, req.Delta, req.Verifier, req.Plain, req.Seed, req.Workers, req.TimeoutMS)
+	if err != nil {
+		return nil, core.QueryOptions{}, err
 	}
-	opt := core.QueryOptions{Epsilon: req.Epsilon, Delta: req.Delta}
+	return qs, opt, nil
+}
+
+// checkOptions translates the knobs QueryRequest and BatchRequest share
+// to engine options, rejecting an unknown verifier, ε/δ out of range and
+// a negative timeout_ms (0 means the server default deadline).
+func checkOptions(epsilon float64, delta int, verifier string, plain bool, seed int64, workers int, timeoutMS int64) (core.QueryOptions, error) {
+	vk, err := verifierKind(verifier)
+	if err != nil {
+		return core.QueryOptions{}, err
+	}
+	opt := core.QueryOptions{
+		Epsilon:     epsilon,
+		Delta:       delta,
+		OptBounds:   !plain,
+		Verifier:    vk,
+		Seed:        seed,
+		Concurrency: workers,
+	}
 	if err := opt.Validate(); err != nil {
-		return nil, err
+		return core.QueryOptions{}, err
 	}
-	if err := checkTimeoutMS(req.TimeoutMS); err != nil {
-		return nil, err
+	if timeoutMS < 0 {
+		return core.QueryOptions{}, fmt.Errorf("timeout_ms must be >= 0, got %d", timeoutMS)
 	}
-	return qs, nil
+	return opt, nil
 }
 
 // TopKBoundJSON is one /topk/bounds schedule entry: a candidate's global
@@ -132,21 +148,15 @@ type TopKVerifyResponse struct {
 // merged result.
 func (s *Server) handleTopKBounds(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if req.K <= 0 {
-		httpError(w, http.StatusBadRequest, "k must be positive")
+		HTTPError(w, http.StatusBadRequest, "k must be positive")
 		return
 	}
-	q, err := req.Check()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opt, err := s.queryOptions(req.Epsilon, req.Delta, req.Verifier, req.Plain, req.Seed, req.Workers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	q, opt, ok := s.check(w, &req)
+	if !ok {
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
@@ -173,10 +183,10 @@ func (s *Server) handleTopKBounds(w http.ResponseWriter, r *http.Request) {
 			Graph: v.GID(b.Graph), Name: v.Graphs[b.Graph].G.Name(), Upper: b.Upper,
 		})
 	}
-	if traceWanted(r, req.Trace) {
-		resp.Trace = traceTree(r)
+	if TraceWanted(r, req.Trace) {
+		resp.Trace = TraceTree(r)
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // handleTopKVerify is POST /topk/verify: SSP estimates for an explicit
@@ -186,21 +196,15 @@ func (s *Server) handleTopKBounds(w http.ResponseWriter, r *http.Request) {
 // commit loop unchanged.
 func (s *Server) handleTopKVerify(w http.ResponseWriter, r *http.Request) {
 	var req TopKVerifyRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Graphs) == 0 {
-		httpError(w, http.StatusBadRequest, "empty graphs list")
+		HTTPError(w, http.StatusBadRequest, "empty graphs list")
 		return
 	}
-	q, err := req.Check()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opt, err := s.queryOptions(req.Epsilon, req.Delta, req.Verifier, req.Plain, req.Seed, req.Workers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	q, opt, ok := s.check(w, &req.QueryRequest)
+	if !ok {
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
@@ -212,7 +216,7 @@ func (s *Server) handleTopKVerify(w http.ResponseWriter, r *http.Request) {
 	for i, g := range req.Graphs {
 		li := v.LocalOf(g)
 		if li < 0 || !v.Live(li) {
-			httpError(w, http.StatusBadRequest, "graph %d is not on this shard", g)
+			HTTPError(w, http.StatusBadRequest, "graph %d is not on this shard", g)
 			return
 		}
 		locals[i] = li
@@ -233,5 +237,5 @@ func (s *Server) handleTopKVerify(w http.ResponseWriter, r *http.Request) {
 	for i, p := range ssps {
 		resp.SSP[req.Graphs[i]] = p
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }

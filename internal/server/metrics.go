@@ -176,17 +176,18 @@ func (s *Server) instrumented(endpoint string, h http.HandlerFunc) http.HandlerF
 	}
 }
 
-// traceWanted reports whether the request opted into an inline span tree
+// TraceWanted reports whether the request opted into an inline span tree
 // (trace=1 URL knob or the request body's trace field).
-func traceWanted(r *http.Request, bodyFlag bool) bool {
+func TraceWanted(r *http.Request, bodyFlag bool) bool {
 	return bodyFlag || r.URL.Query().Get("trace") == "1"
 }
 
-// traceTree snapshots the request's span tree for inline delivery. The
+// TraceTree snapshots the request's span tree for inline delivery. The
 // root span is still open (the middleware ends it after the response is
 // written), so its duration reads as-of-now — evaluation is complete at
-// every call site, only response encoding is excluded.
-func traceTree(r *http.Request) *obs.SpanNode {
+// every call site, only response encoding is excluded. The coordinator's
+// tree carries one child per shard sub-request.
+func TraceTree(r *http.Request) *obs.SpanNode {
 	if tr := obs.TraceFrom(r.Context()); tr != nil {
 		return tr.Tree()
 	}
@@ -202,5 +203,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleSlowlog serves the N slowest queries (with span trees), slowest
 // first.
 func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{"slowest": s.metrics.slowlog.Snapshot()})
+	WriteJSON(w, map[string]any{"slowest": s.metrics.slowlog.Snapshot()})
 }

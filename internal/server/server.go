@@ -236,7 +236,7 @@ type TopKResponse struct {
 
 // BatchRequest is the /batch payload: many queries sharing one option set.
 // Query i runs with seed BatchSeed(seed, i), exactly like
-// Database.QueryBatch — batching never changes an individual answer.
+// View.QueryBatchCtx — batching never changes an individual answer.
 type BatchRequest struct {
 	Queries    []GraphJSON `json:"queries,omitempty"`
 	QueryTexts []string    `json:"query_texts,omitempty"`
@@ -388,20 +388,14 @@ func (g *genCounters) snapshotSorted() []genCacheEntry {
 	return out
 }
 
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
+// HTTPError answers status with a JSON {"error": ...} body. HTTPError,
+// WriteJSON, DecodeBody, TraceWanted and TraceTree are the HTTP plumbing
+// pgserve and the pgproxy coordinator share, so both answer a request the
+// same way.
+func HTTPError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// checkTimeoutMS validates the timeout_ms request knob: negative values
-// are malformed (rejected 400 by the caller, matching the CLI flags and
-// the ε/δ validation convention), 0 means "use the server default".
-func checkTimeoutMS(timeoutMS int64) error {
-	if timeoutMS < 0 {
-		return fmt.Errorf("timeout_ms must be >= 0, got %d", timeoutMS)
-	}
-	return nil
 }
 
 // requestContext derives the evaluation context for one request: the
@@ -409,7 +403,7 @@ func checkTimeoutMS(timeoutMS int64) error {
 // pgserve wires http.Server.BaseContext to its shutdown context — when the
 // process is told to stop) bounded by the effective deadline: timeoutMS
 // when positive, else the server default. timeoutMS has been validated by
-// checkTimeoutMS.
+// the request's Check.
 func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
 	d := s.opt.Timeout
 	if timeoutMS > 0 {
@@ -445,36 +439,45 @@ func evalError(w http.ResponseWriter, what string, err error) {
 			"cancelled": true,
 		})
 	default:
-		httpError(w, http.StatusUnprocessableEntity, "%s: %v", what, err)
+		HTTPError(w, http.StatusUnprocessableEntity, "%s: %v", what, err)
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON answers 200 with v as the JSON body.
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
 }
 
-// decodeBody parses a JSON request body, enforcing the expected method
-// for mux patterns that are not method-qualified.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// DecodeBody parses a JSON request body, enforcing POST for mux patterns
+// that are not method-qualified.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
+		HTTPError(w, http.StatusMethodNotAllowed, "POST required")
 		return false
 	}
 	return decodeJSONBody(w, r, v)
 }
 
+// decodeJSONBody parses a body holding exactly one JSON value, answering
+// 400 otherwise: unknown fields and any data after the value — a second
+// value, a stray bracket — are rejected, trailing whitespace is not.
+// Reading to EOF also arms net/http's client-disconnect detection, which
+// cancels r.Context() only once the body is fully consumed.
 func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	err := dec.Decode(v)
+	if err == nil {
+		var extra json.RawMessage
+		if dec.Decode(&extra) != io.EOF {
+			err = errors.New("unexpected data after the JSON value")
+		}
+	}
+	if err != nil {
+		HTTPError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
-	// Drain to EOF: net/http arms its client-disconnect detection (which
-	// cancels r.Context()) only once the body is fully consumed, and
-	// Decode stops after the first JSON value.
-	io.Copy(io.Discard, r.Body)
 	return true
 }
 
@@ -491,32 +494,19 @@ func verifierKind(name string) (core.VerifierKind, error) {
 	}
 }
 
-// queryOptions translates request knobs to engine options. Workers is the
-// only server-side default injected; everything result-affecting comes
-// from the request. Out-of-range ε/δ are rejected here — the error joins
-// the handlers' bad-request path (HTTP 400), distinguishing malformed
-// requests from evaluation failures (422) on every query endpoint,
-// /query/stream included.
-func (s *Server) queryOptions(epsilon float64, delta int, verifier string, plain bool, seed int64, workers int) (core.QueryOptions, error) {
-	vk, err := verifierKind(verifier)
+// check runs req.Check, the one validation step of every query endpoint,
+// answering 400 on failure, and fills in the server's default worker
+// count — the only server-side default in a query's options.
+func (s *Server) check(w http.ResponseWriter, req *QueryRequest) (*graph.Graph, core.QueryOptions, bool) {
+	q, opt, err := req.Check()
 	if err != nil {
-		return core.QueryOptions{}, err
+		HTTPError(w, http.StatusBadRequest, "%v", err)
+		return nil, opt, false
 	}
-	if workers == 0 {
-		workers = s.opt.Workers
+	if opt.Concurrency == 0 {
+		opt.Concurrency = s.opt.Workers
 	}
-	opt := core.QueryOptions{
-		Epsilon:     epsilon,
-		Delta:       delta,
-		OptBounds:   !plain,
-		Verifier:    vk,
-		Seed:        seed,
-		Concurrency: workers,
-	}
-	if err := opt.Validate(); err != nil {
-		return core.QueryOptions{}, err
-	}
-	return opt, nil
+	return q, opt, true
 }
 
 // cacheKey identifies one deterministic query outcome: the generation it
@@ -604,21 +594,11 @@ func queryResponse(v *core.View, res *core.Result, cached bool, elapsed time.Dur
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
-	q, err := parseGraphPayload(req.Graph, req.GraphText)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opt, err := s.queryOptions(req.Epsilon, req.Delta, req.Verifier, req.Plain, req.Seed, req.Workers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := checkTimeoutMS(req.TimeoutMS); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	q, opt, ok := s.check(w, &req)
+	if !ok {
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
@@ -631,14 +611,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	v := s.db.View()
 	s.metrics.queries["query"].Inc()
 	key := cacheKey("query", v.Generation, graph.CanonicalCode(q), opt, 0)
-	wantTrace := traceWanted(r, req.Trace)
+	wantTrace := TraceWanted(r, req.Trace)
 	if !req.NoCache {
 		if cached, ok := s.cacheGet(v.Generation, key); ok {
 			resp := queryResponse(v, cached.(*core.Result), true, time.Since(start))
 			if wantTrace {
-				resp.Trace = traceTree(r)
+				resp.Trace = TraceTree(r)
 			}
-			writeJSON(w, resp)
+			WriteJSON(w, resp)
 			return
 		}
 	}
@@ -657,32 +637,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := queryResponse(v, res, false, time.Since(start))
 	if wantTrace {
-		resp.Trace = traceTree(r)
+		resp.Trace = TraceTree(r)
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if req.K <= 0 {
-		httpError(w, http.StatusBadRequest, "k must be positive")
+		HTTPError(w, http.StatusBadRequest, "k must be positive")
 		return
 	}
-	q, err := parseGraphPayload(req.Graph, req.GraphText)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opt, err := s.queryOptions(req.Epsilon, req.Delta, req.Verifier, req.Plain, req.Seed, req.Workers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := checkTimeoutMS(req.TimeoutMS); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	q, opt, ok := s.check(w, &req)
+	if !ok {
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
@@ -692,7 +662,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	v := s.db.View()
 	s.metrics.queries["topk"].Inc()
 	key := cacheKey("topk", v.Generation, graph.CanonicalCode(q), opt, req.K)
-	wantTrace := traceWanted(r, req.Trace)
+	wantTrace := TraceWanted(r, req.Trace)
 
 	build := func(items []core.TopKItem, cached bool) TopKResponse {
 		out := TopKResponse{Items: []TopKItemJSON{}, Generation: v.Generation, Cached: cached,
@@ -703,13 +673,13 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 		if wantTrace {
-			out.Trace = traceTree(r)
+			out.Trace = TraceTree(r)
 		}
 		return out
 	}
 	if !req.NoCache {
 		if cached, ok := s.cacheGet(v.Generation, key); ok {
-			writeJSON(w, build(cached.([]core.TopKItem), true))
+			WriteJSON(w, build(cached.([]core.TopKItem), true))
 			return
 		}
 	}
@@ -723,47 +693,21 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if !req.NoCache {
 		s.cache.Put(key, items)
 	}
-	writeJSON(w, build(items, false))
+	WriteJSON(w, build(items, false))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
-	if len(req.Queries) > 0 && len(req.QueryTexts) > 0 {
-		httpError(w, http.StatusBadRequest, "give either queries or query_texts, not both")
-		return
-	}
-	var qs []*graph.Graph
-	for i := range req.Queries {
-		q, err := GraphFromJSON(&req.Queries[i])
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "query %d: %v", i, err)
-			return
-		}
-		qs = append(qs, q)
-	}
-	for i, text := range req.QueryTexts {
-		q, err := parseGraphPayload(nil, text)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "query %d: %v", i, err)
-			return
-		}
-		qs = append(qs, q)
-	}
-	if len(qs) == 0 {
-		httpError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	opt, err := s.queryOptions(req.Epsilon, req.Delta, req.Verifier, req.Plain, req.Seed, req.Workers)
+	qs, opt, err := req.Check()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := checkTimeoutMS(req.TimeoutMS); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+	if opt.Concurrency == 0 {
+		opt.Concurrency = s.opt.Workers
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
@@ -775,7 +719,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// BatchSeed(seed, i), so a subsequent /query with that derived seed
 	// (and the same generation) hits the same entry. The batch is served
 	// from cache only when every member hits; one miss re-runs the whole
-	// batch (QueryBatch derives seeds by position, so partial evaluation
+	// batch (QueryBatchCtx derives seeds by position, so partial evaluation
 	// would change seeds).
 	v := s.db.View()
 	s.metrics.queries["batch"].Add(int64(len(qs)))
@@ -812,10 +756,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				for _, res := range cached {
 					out.Results = append(out.Results, queryResponse(v, res, true, 0))
 				}
-				if traceWanted(r, req.Trace) {
-					out.Trace = traceTree(r)
+				if TraceWanted(r, req.Trace) {
+					out.Trace = TraceTree(r)
 				}
-				writeJSON(w, out)
+				WriteJSON(w, out)
 				return
 			}
 		}
@@ -834,10 +778,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Results = append(out.Results, queryResponse(v, res, false, 0))
 	}
-	if traceWanted(r, req.Trace) {
-		out.Trace = traceTree(r)
+	if TraceWanted(r, req.Trace) {
+		out.Trace = TraceTree(r)
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 // mutationResponse assembles the reply from core's mutation record —
@@ -876,24 +820,24 @@ func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	pg, err := parsePGraphPayload(req.Graph, req.GraphText)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	m, err := s.db.AddGraphInfo(pg)
 	if err != nil {
 		// core.AddGraph is atomic — a failure publishes nothing, so every
 		// cached result stays valid for its generation.
-		httpError(w, http.StatusUnprocessableEntity, "adding graph: %v", err)
+		HTTPError(w, http.StatusUnprocessableEntity, "adding graph: %v", err)
 		return
 	}
-	writeJSON(w, s.mutationResponse("add", m))
+	WriteJSON(w, s.mutationResponse("add", m))
 }
 
 // graphID parses the {id} path segment of /graphs/{id}.
 func graphID(w http.ResponseWriter, r *http.Request) (int, bool) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil || id < 0 {
-		httpError(w, http.StatusBadRequest, "bad graph id %q", r.PathValue("id"))
+		HTTPError(w, http.StatusBadRequest, "bad graph id %q", r.PathValue("id"))
 		return 0, false
 	}
 	return id, true
@@ -907,7 +851,7 @@ func mutationError(w http.ResponseWriter, what string, err error) {
 	if errors.Is(err, core.ErrNoSuchGraph) {
 		status = http.StatusNotFound
 	}
-	httpError(w, status, "%s: %v", what, err)
+	HTTPError(w, status, "%s: %v", what, err)
 }
 
 func (s *Server) handleRemoveGraph(w http.ResponseWriter, r *http.Request) {
@@ -920,7 +864,7 @@ func (s *Server) handleRemoveGraph(w http.ResponseWriter, r *http.Request) {
 		mutationError(w, "removing graph", err)
 		return
 	}
-	writeJSON(w, s.mutationResponse("remove", m))
+	WriteJSON(w, s.mutationResponse("remove", m))
 }
 
 func (s *Server) handleReplaceGraph(w http.ResponseWriter, r *http.Request) {
@@ -934,7 +878,7 @@ func (s *Server) handleReplaceGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	pg, err := parsePGraphPayload(req.Graph, req.GraphText)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	m, err := s.db.ReplaceGraphInfo(id, pg)
@@ -942,7 +886,7 @@ func (s *Server) handleReplaceGraph(w http.ResponseWriter, r *http.Request) {
 		mutationError(w, "replacing graph", err)
 		return
 	}
-	writeJSON(w, s.mutationResponse("replace", m))
+	WriteJSON(w, s.mutationResponse("replace", m))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -972,7 +916,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if v.Struct != nil {
 		resp.StructShards, resp.StructPostings = v.Struct.PostingsStats()
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // handleHealthz is the liveness probe: the process is up and serving
@@ -981,7 +925,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // traffic on /readyz failures, independently.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	v := s.db.View()
-	writeJSON(w, map[string]any{"status": "ok", "graphs": v.NumLive(), "generation": v.Generation})
+	WriteJSON(w, map[string]any{"status": "ok", "graphs": v.NumLive(), "generation": v.Generation})
 }
 
 // handleReadyz is the readiness probe: 200 once the database is loaded
@@ -996,7 +940,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{"ready": false, "error": "no live graphs"})
 		return
 	}
-	writeJSON(w, map[string]any{
+	WriteJSON(w, map[string]any{
 		"ready": true, "graphs": v.NumLive(), "generation": v.Generation,
 		"partitioned": v.Partitioned(),
 	})

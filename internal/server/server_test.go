@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -42,7 +43,7 @@ func newTestEnv(t *testing.T, opt Options) *testEnv {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
-	if err := fresh.Save(&snap); err != nil {
+	if err := fresh.View().Save(&snap); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := core.LoadDatabase(&snap)
@@ -102,13 +103,13 @@ func (env *testEnv) get(t *testing.T, path string, resp any) {
 }
 
 // TestQueryMatchesLibraryBitwise: a /query response must equal
-// Database.Query on the freshly built database — same answers, same SSP
+// View.QueryCtx on the freshly built database — same answers, same SSP
 // floats bit for bit — and a repeated request must come from the cache.
 func TestQueryMatchesLibraryBitwise(t *testing.T) {
 	env := newTestEnv(t, Options{})
 	for i, q := range env.qs {
 		opt := core.QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: int64(7 + i)}
-		want, err := env.fresh.Query(q, opt)
+		want, err := env.fresh.View().QueryCtx(context.Background(), q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,11 +188,11 @@ func TestQueryJSONGraphAndWorkersShareCache(t *testing.T) {
 	}
 }
 
-// TestTopKEndpoint mirrors QueryTopK.
+// TestTopKEndpoint mirrors QueryTopKCtx.
 func TestTopKEndpoint(t *testing.T) {
 	env := newTestEnv(t, Options{})
 	opt := core.QueryOptions{Delta: 1, OptBounds: true, Seed: 9}
-	want, err := env.fresh.QueryTopK(env.qs[0], 3, opt)
+	want, err := env.fresh.View().QueryTopKCtx(context.Background(), env.qs[0], 3, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +214,11 @@ func TestTopKEndpoint(t *testing.T) {
 	}
 }
 
-// TestBatchEndpoint mirrors QueryBatch, including per-member cache slots.
+// TestBatchEndpoint mirrors QueryBatchCtx, including per-member cache slots.
 func TestBatchEndpoint(t *testing.T) {
 	env := newTestEnv(t, Options{})
 	opt := core.QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 21}
-	want, err := env.fresh.QueryBatch(env.qs, opt)
+	want, err := env.fresh.View().QueryBatchCtx(context.Background(), env.qs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +323,8 @@ func TestAddGraphEndpoint(t *testing.T) {
 	if ar.Op != "add" || ar.Index != env.fresh.Len()-1 || ar.Graphs != env.fresh.Len() {
 		t.Fatalf("add response %+v, want index %d", ar, env.fresh.Len()-1)
 	}
-	if ar.Generation != env.srv.db.Generation() {
-		t.Fatalf("add response generation %d, want %d", ar.Generation, env.srv.db.Generation())
+	if ar.Generation != env.srv.db.View().Generation {
+		t.Fatalf("add response generation %d, want %d", ar.Generation, env.srv.db.View().Generation)
 	}
 
 	// The warmed entry is keyed by the pre-insertion generation, so the
@@ -335,7 +336,7 @@ func TestAddGraphEndpoint(t *testing.T) {
 	if rerun.Cached {
 		t.Fatal("cache served a pre-insertion result after AddGraph")
 	}
-	want, err := env.fresh.Query(env.qs[0], core.QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 3})
+	want, err := env.fresh.View().QueryCtx(context.Background(), env.qs[0], core.QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,6 +361,30 @@ func TestAddGraphEndpoint(t *testing.T) {
 	env.post(t, "/graphs", AddGraphRequest{Graph: gj}, &ar2)
 	if ar2.Graphs != ar.Graphs+1 {
 		t.Fatalf("second add: graphs = %d, want %d", ar2.Graphs, ar.Graphs+1)
+	}
+
+	// Data after the JSON value makes a POST or PUT body malformed (400),
+	// and nothing is committed.
+	body, err := json.Marshal(AddGraphRequest{GraphText: pgText.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ method, path string }{{http.MethodPost, "/graphs"}, {http.MethodPut, "/graphs/0"}} {
+		hreq, err := http.NewRequest(c.method, env.ts.URL+c.path, bytes.NewReader(append(body, `{"graph_text": ""}`...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Body.Close()
+		if hr.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s %s with trailing data: status %d, want 400", c.method, c.path, hr.StatusCode)
+		}
+	}
+	if g := env.srv.db.View().Generation; g != ar2.Generation {
+		t.Fatalf("generation %d after rejected bodies, want %d", g, ar2.Generation)
 	}
 }
 
@@ -400,54 +425,6 @@ func TestHealthzAndErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d", resp.StatusCode)
-	}
-}
-
-// TestBadThresholdsAre400 pins the QueryOptions-validation mapping on every
-// query endpoint: an out-of-range ε or a negative δ is a malformed request
-// (HTTP 400), not an evaluation failure (422), and exact boundary values
-// (ε = 1, δ = 0) are accepted.
-func TestBadThresholdsAre400(t *testing.T) {
-	env := newTestEnv(t, Options{})
-	bad := []struct {
-		name    string
-		epsilon float64
-		delta   int
-	}{
-		{"epsilon above 1", 1.5, 1},
-		{"epsilon negative", -0.1, 1},
-		{"delta negative", 0.5, -1},
-	}
-	for _, c := range bad {
-		reqs := map[string]any{
-			"/query":        QueryRequest{GraphText: env.qtexts[0], Epsilon: c.epsilon, Delta: c.delta},
-			"/query/stream": QueryRequest{GraphText: env.qtexts[0], Epsilon: c.epsilon, Delta: c.delta},
-			"/topk":         QueryRequest{GraphText: env.qtexts[0], Epsilon: c.epsilon, Delta: c.delta, K: 2},
-			"/batch":        BatchRequest{QueryTexts: env.qtexts[:1], Epsilon: c.epsilon, Delta: c.delta},
-		}
-		for path, req := range reqs {
-			// Decode the body as one JSON object: the rejection must be a
-			// structured HTTP 400 *before* any evaluation — on the stream
-			// endpoint too, where a late rejection would instead surface
-			// as an in-band NDJSON error line after a 200 status.
-			var body map[string]any
-			hr := env.post(t, path, req, &body)
-			if hr.StatusCode != http.StatusBadRequest {
-				t.Errorf("%s %s: status %d, want 400", path, c.name, hr.StatusCode)
-			}
-			if _, ok := body["error"]; !ok {
-				t.Errorf("%s %s: 400 body %v lacks error field", path, c.name, body)
-			}
-			if _, streamed := body["done"]; streamed {
-				t.Errorf("%s %s: rejection arrived as a stream line, not an up-front 400", path, c.name)
-			}
-		}
-	}
-	// The boundary itself is valid: ε exactly 1, δ exactly 0.
-	var resp QueryResponse
-	hr := env.post(t, "/query", QueryRequest{GraphText: env.qtexts[0], Epsilon: 1, Delta: 0}, &resp)
-	if hr.StatusCode != http.StatusOK {
-		t.Fatalf("epsilon=1 delta=0: status %d, want 200", hr.StatusCode)
 	}
 }
 

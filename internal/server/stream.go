@@ -144,25 +144,15 @@ func (sq *streamQueue) pop() (it streamItem, ok bool) {
 //     live no matter what a stream's client does.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if req.K != 0 {
-		httpError(w, http.StatusBadRequest, "k is not supported on /query/stream")
+		HTTPError(w, http.StatusBadRequest, "k is not supported on /query/stream")
 		return
 	}
-	q, err := parseGraphPayload(req.Graph, req.GraphText)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opt, err := s.queryOptions(req.Epsilon, req.Delta, req.Verifier, req.Plain, req.Seed, req.Workers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := checkTimeoutMS(req.TimeoutMS); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	q, opt, ok := s.check(w, &req)
+	if !ok {
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)

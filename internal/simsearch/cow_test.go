@@ -14,7 +14,7 @@ func snapshotAnswers(t *testing.T, ix *Index, qs []*queryCase) [][]int {
 	t.Helper()
 	out := make([][]int, len(qs))
 	for i, qc := range qs {
-		out[i] = ix.Candidates(qc.q, qc.delta, 2)
+		out[i] = candidates(ix, qc.q, qc.delta, 2)
 		if dense := ix.CandidatesDense(qc.q, qc.delta); !slices.Equal(out[i], dense) {
 			t.Fatalf("query %d: postings %v != dense %v", i, out[i], dense)
 		}
@@ -112,7 +112,7 @@ func TestTombstoneEqualsRebuiltWithout(t *testing.T) {
 		q := extractSubquery(rng, all[rng.Intn(len(all))], 2+rng.Intn(4))
 		delta := rng.Intn(3)
 
-		tc := tombed.Candidates(q, delta, 2)
+		tc := candidates(tombed, q, delta, 2)
 		for _, gi := range tc {
 			if slices.Contains(removed, gi) {
 				t.Fatalf("tombstoned slot %d emitted as candidate", gi)
@@ -128,13 +128,13 @@ func TestTombstoneEqualsRebuiltWithout(t *testing.T) {
 		for i, gi := range tc {
 			mapped[i] = remap[gi]
 		}
-		rc := rebuilt.Candidates(q, delta, 2)
+		rc := candidates(rebuilt, q, delta, 2)
 		if !slices.Equal(mapped, rc) {
 			t.Fatalf("tombstoned candidates %v (mapped %v) != rebuilt %v", tc, mapped, rc)
 		}
 
 		// Compacted matches the rebuilt index slot-for-slot.
-		if cc := compacted.Candidates(q, delta, 2); !slices.Equal(cc, rc) {
+		if cc := candidates(compacted, q, delta, 2); !slices.Equal(cc, rc) {
 			t.Fatalf("compacted candidates %v != rebuilt %v", cc, rc)
 		}
 	}
@@ -168,8 +168,8 @@ func TestWithReplacedEqualsRebuilt(t *testing.T) {
 			for trial := 0; trial < 10; trial++ {
 				q := extractSubquery(rng, final[rng.Intn(len(final))], 2+rng.Intn(3))
 				delta := rng.Intn(3)
-				a := next.Candidates(q, delta, 2)
-				b := rebuilt.Candidates(q, delta, 2)
+				a := candidates(next, q, delta, 2)
+				b := candidates(rebuilt, q, delta, 2)
 				if !slices.Equal(a, b) {
 					t.Fatalf("shardSize=%d replace %d: %v != rebuilt %v", shardSize, gi, a, b)
 				}

@@ -198,20 +198,13 @@ func (ix *Index) rebuildPostings() {
 	}
 }
 
-// Candidates returns the indices of graphs passing the feature-miss filter
-// for query q at distance threshold delta, ascending. The postings shards
-// are scanned on a pool of `workers` goroutines (0/1 serial, negative
-// GOMAXPROCS); the result is identical at every worker count and equal to
-// CandidatesDense.
-func (ix *Index) Candidates(q *graph.Graph, delta, workers int) []int {
-	out, _ := ix.CandidatesCtx(context.Background(), q, delta, workers)
-	return out
-}
-
-// CandidatesCtx is Candidates with cooperative cancellation at shard
-// granularity: ctx is checked before each postings shard is scanned, and a
-// cancelled scan returns (nil, ctx.Err()) — never a partial candidate
-// list. An uncancelled run returns exactly Candidates' answer.
+// CandidatesCtx returns the indices of graphs passing the feature-miss
+// filter for query q at distance threshold delta, ascending. The postings
+// shards are scanned on a pool of `workers` goroutines (0/1 serial,
+// negative GOMAXPROCS); the result is identical at every worker count and
+// equal to CandidatesDense. ctx is checked before each postings shard is
+// scanned, and a cancelled scan returns (nil, ctx.Err()) — never a partial
+// candidate list.
 func (ix *Index) CandidatesCtx(ctx context.Context, q *graph.Graph, delta, workers int) ([]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package simsearch
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -78,7 +79,7 @@ func TestDeltaBoundaryTable(t *testing.T) {
 		ix := BuildIndexSharded(dbc, features, shardSize)
 		for _, c := range cases {
 			for _, workers := range []int{1, 4} {
-				got := ix.Candidates(q, c.delta, workers)
+				got := candidates(ix, q, c.delta, workers)
 				if !slices.Equal(got, c.want) {
 					t.Errorf("shardSize=%d workers=%d delta=%d: candidates %v, want %v",
 						shardSize, workers, c.delta, got, c.want)
@@ -105,8 +106,8 @@ func TestZeroEmbeddingFeaturesAreInert(t *testing.T) {
 		edgeGraph("g2", [][2]string{{"b", "b"}}),
 	}
 	for delta := 0; delta <= 2; delta++ {
-		a := BuildIndex(dbc, with).Candidates(q, delta, 1)
-		b := BuildIndex(dbc, without).Candidates(q, delta, 1)
+		a := candidates(BuildIndex(dbc, with), q, delta, 1)
+		b := candidates(BuildIndex(dbc, without), q, delta, 1)
 		if !slices.Equal(a, b) {
 			t.Errorf("delta=%d: with inert features %v, without %v", delta, a, b)
 		}
@@ -122,7 +123,7 @@ func TestEmptyQueryAllCandidates(t *testing.T) {
 	ix := BuildIndexSharded(dbc, DefaultFeatures(dbc, 64), 2)
 	empty := graph.NewBuilder("empty").Build()
 	for delta := 0; delta <= 1; delta++ {
-		got := ix.Candidates(empty, delta, 3)
+		got := candidates(ix, empty, delta, 3)
 		if len(got) != len(dbc) {
 			t.Fatalf("delta=%d: empty query kept %d/%d graphs", delta, len(got), len(dbc))
 		}
@@ -146,7 +147,7 @@ func TestPostingsMatchDense(t *testing.T) {
 			ix := BuildIndexSharded(dbc, features, shardSize)
 			dense := ix.CandidatesDense(q, delta)
 			for _, workers := range []int{1, 2, 8} {
-				got := ix.Candidates(q, delta, workers)
+				got := candidates(ix, q, delta, workers)
 				if !slices.Equal(got, dense) {
 					t.Logf("seed %d shardSize %d workers %d: postings %v != dense %v",
 						seed, shardSize, workers, got, dense)
@@ -176,7 +177,11 @@ func TestSCqSerialShardedIdentity(t *testing.T) {
 		}
 		delta := rng.Intn(3)
 		base := BuildIndexSharded(dbc, features, 3)
-		wantConf, wantCount := base.SCq(q, delta, 1)
+		wantConf, wantCount, err := base.SCqCtx(context.Background(), q, delta, 1)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
 		var wantExact []int
 		for gi, g := range dbc {
 			if mcs.Similar(q, g, nil, delta) {
@@ -190,8 +195,8 @@ func TestSCqSerialShardedIdentity(t *testing.T) {
 		for _, shardSize := range []int{1, 4, 256} {
 			ix := BuildIndexSharded(dbc, features, shardSize)
 			for _, workers := range []int{1, 2, 4, 8} {
-				conf, count := ix.SCq(q, delta, workers)
-				if !slices.Equal(conf, wantConf) || count != wantCount {
+				conf, count, err := ix.SCqCtx(context.Background(), q, delta, workers)
+				if err != nil || !slices.Equal(conf, wantConf) || count != wantCount {
 					t.Logf("seed %d shardSize %d workers %d: (%v, %d) != (%v, %d)",
 						seed, shardSize, workers, conf, count, wantConf, wantCount)
 					return false
@@ -229,8 +234,8 @@ func TestAddGraphExtendsPostings(t *testing.T) {
 		for trial := 0; trial < 12; trial++ {
 			q := extractSubquery(rng, all[rng.Intn(len(all))], 2+rng.Intn(4))
 			delta := rng.Intn(3)
-			a := inc.Candidates(q, delta, 4)
-			b := full.Candidates(q, delta, 4)
+			a := candidates(inc, q, delta, 4)
+			b := candidates(full, q, delta, 4)
 			if !slices.Equal(a, b) {
 				t.Fatalf("shardSize=%d: incremental %v != rebuilt %v", shardSize, a, b)
 			}
@@ -273,8 +278,8 @@ func TestSaveLoadRoundTripsPostings(t *testing.T) {
 	}
 	q := extractSubquery(rng, dbc[0], 3)
 	for delta := 0; delta <= 2; delta++ {
-		a := ix.Candidates(q, delta, 2)
-		b := loaded.Candidates(q, delta, 2)
+		a := candidates(ix, q, delta, 2)
+		b := candidates(loaded, q, delta, 2)
 		if !slices.Equal(a, b) {
 			t.Fatalf("delta=%d: loaded index answers %v, original %v", delta, b, a)
 		}
@@ -309,8 +314,8 @@ func TestLoadV1SectionWithoutPostings(t *testing.T) {
 	}
 	q := extractSubquery(rng, dbc[0], 3)
 	for delta := 0; delta <= 2; delta++ {
-		a := ix.Candidates(q, delta, 2)
-		b := loaded.Candidates(q, delta, 2)
+		a := candidates(ix, q, delta, 2)
+		b := candidates(loaded, q, delta, 2)
 		if !slices.Equal(a, b) {
 			t.Fatalf("delta=%d: v1-loaded index answers %v, fresh build %v", delta, b, a)
 		}

@@ -434,7 +434,7 @@ func (ix *Index) queryProfile(q *graph.Graph, delta int) (cq []int, budget int) 
 }
 
 // CandidatesDense is the original dense scan over the full count matrix,
-// kept as the reference oracle the postings-based Candidates is tested
+// kept as the reference oracle the postings-based CandidatesCtx is tested
 // against (and as the honest baseline of pgbench -fig filter). Both paths
 // share queryProfile, so they answer identically by construction of the
 // hits/misses identity — the property tests assert it anyway.
@@ -464,20 +464,14 @@ func (ix *Index) Confirm(q *graph.Graph, gi, delta int) bool {
 	return mcs.Similar(q, ix.dbc[gi], nil, delta)
 }
 
-// SCq runs filter + exact confirmation: the paper's structural candidate
-// set {g : q ⊆sim gc}. It also reports the filter's candidate count (the
-// "Structure" bar of Figures 10–12). Both the postings scan and the exact
-// confirmations run on a pool of `workers` goroutines (0/1 serial,
-// negative GOMAXPROCS); results are identical at every worker count.
-func (ix *Index) SCq(q *graph.Graph, delta, workers int) (confirmed []int, filterCandidates int) {
-	confirmed, filterCandidates, _ = ix.SCqCtx(context.Background(), q, delta, workers)
-	return confirmed, filterCandidates
-}
-
-// SCqCtx is SCq with cooperative cancellation: the postings scan cancels
-// at shard granularity, the exact confirmations at candidate granularity.
-// A cancelled call returns (nil, 0, ctx.Err()) — never a partial candidate
-// set; an uncancelled call returns exactly SCq's answer and a nil error.
+// SCqCtx runs filter + exact confirmation: the paper's structural
+// candidate set {g : q ⊆sim gc}. It also reports the filter's candidate
+// count (the "Structure" bar of Figures 10–12). Both the postings scan and
+// the exact confirmations run on a pool of `workers` goroutines (0/1
+// serial, negative GOMAXPROCS); results are identical at every worker
+// count. The postings scan cancels at shard granularity, the exact
+// confirmations at candidate granularity: a cancelled call returns
+// (nil, 0, ctx.Err()) — never a partial candidate set.
 func (ix *Index) SCqCtx(ctx context.Context, q *graph.Graph, delta, workers int) (confirmed []int, filterCandidates int, err error) {
 	cand, err := ix.CandidatesCtx(ctx, q, delta, workers)
 	if err != nil {

@@ -1,6 +1,7 @@
 package simsearch
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,13 @@ import (
 	"probgraph/internal/graph"
 	"probgraph/internal/mcs"
 )
+
+// candidates is the filter answer under a context that is never
+// cancelled; a nil result on error fails every caller's comparison.
+func candidates(ix *Index, q *graph.Graph, delta, workers int) []int {
+	out, _ := ix.CandidatesCtx(context.Background(), q, delta, workers)
+	return out
+}
 
 func randomDB(rng *rand.Rand, n int) []*graph.Graph {
 	var dbc []*graph.Graph
@@ -58,7 +66,7 @@ func TestFilterSoundness(t *testing.T) {
 		}
 		delta := rng.Intn(3)
 		cand := make(map[int]bool)
-		for _, gi := range ix.Candidates(q, delta, 1) {
+		for _, gi := range candidates(ix, q, delta, 1) {
 			cand[gi] = true
 		}
 		for gi, g := range dbc {
@@ -84,7 +92,10 @@ func TestSCqMatchesExactSimilarity(t *testing.T) {
 			return true
 		}
 		delta := 1
-		confirmed, filterCount := ix.SCq(q, delta, 1)
+		confirmed, filterCount, err := ix.SCqCtx(context.Background(), q, delta, 1)
+		if err != nil {
+			return false
+		}
 		inConf := make(map[int]bool)
 		for _, gi := range confirmed {
 			inConf[gi] = true
@@ -112,7 +123,7 @@ func TestQueryFromDBAlwaysSurvives(t *testing.T) {
 	}
 	for delta := 0; delta <= 2; delta++ {
 		found := false
-		for _, gi := range ix.Candidates(q, delta, 1) {
+		for _, gi := range candidates(ix, q, delta, 1) {
 			if gi == 0 {
 				found = true
 			}
@@ -159,7 +170,7 @@ func TestBiggerDeltaNeverShrinksCandidates(t *testing.T) {
 	}
 	prev := -1
 	for delta := 0; delta <= 3; delta++ {
-		n := len(ix.Candidates(q, delta, 1))
+		n := len(candidates(ix, q, delta, 1))
 		if n < prev {
 			t.Fatalf("candidates shrank from %d to %d as delta grew to %d", prev, n, delta)
 		}

@@ -31,26 +31,27 @@
 //
 //	db, _ := probgraph.NewDatabase([]*probgraph.PGraph{pg},
 //	    probgraph.DefaultBuildOptions())
-//	res, _ := db.QueryCtx(ctx, query,
+//	res, _ := db.View().QueryCtx(ctx, query,
 //	    probgraph.QueryOptions{Epsilon: 0.5, Delta: 1})
 //
 // # Contexts and streaming
 //
-// Every query entry point has a context-first form — QueryCtx,
-// QueryTopKCtx, QueryBatchCtx — that threads ctx through the whole
-// pipeline: cancellation (or a deadline) is checked per postings shard,
-// per exact confirmation, and per candidate evaluation, so a cancelled
-// query returns ctx.Err() promptly, leaks no goroutines, and never
-// returns a partial result. The context-free forms remain thin
-// context.Background() wrappers with unchanged behavior.
+// Queries run on a DatabaseView, pinned with Database.View, and every
+// query method takes a context — QueryCtx, QueryTopKCtx, QueryBatchCtx,
+// QueryStream. The context is threaded through the whole pipeline:
+// cancellation (or a deadline) is checked per postings shard, per exact
+// confirmation, and per candidate evaluation, so a cancelled query
+// returns ctx.Err() promptly, leaks no goroutines, and never returns a
+// partial result. Pass context.Background() for a query that never
+// cancels.
 //
-// Database.QueryStream delivers answers incrementally: it yields each
-// verified Match the moment the prune+verify stage admits it, in arrival
-// order, as an iter.Seq2[Match, error]. The collected stream, re-sorted
-// by graph index, is bitwise-identical to Query's answer set and SSP
-// estimates at every worker count — arrival order is the only
-// scheduling-dependent aspect. Breaking out of the loop early cancels and
-// joins the internal workers before the iterator returns.
+// QueryStream delivers answers incrementally: it yields each verified
+// Match the moment the prune+verify stage admits it, in arrival order,
+// as an iter.Seq2[Match, error]. The collected stream, re-sorted by graph
+// index, is bitwise-identical to QueryCtx's answer set and SSP estimates
+// at every worker count — arrival order is the only scheduling-dependent
+// aspect. Breaking out of the loop early cancels and joins the internal
+// workers before the iterator returns.
 //
 // # Concurrency
 //
@@ -58,8 +59,8 @@
 // engine exploits that: QueryOptions.Concurrency bounds a worker pool that
 // scans the structural filter's inverted-postings shards, confirms the
 // survivors, and evaluates candidates (bound combination and verification)
-// in parallel, both in Query/QueryTopK and across the queries of
-// Database.QueryBatch.
+// in parallel, both in QueryCtx/QueryTopKCtx and across the queries of
+// QueryBatchCtx.
 // Results are deterministic at every worker count — all per-candidate
 // randomness is seeded from QueryOptions.Seed and the candidate's graph
 // index, never from scheduling order — so a parallel run returns exactly
@@ -125,7 +126,7 @@ type (
 	// JPT is a joint probability table over a neighbor-edge set.
 	JPT = prob.JPT
 	// InferenceEngine performs exact probability queries over one PGraph;
-	// its Sampler and NewSampler build world samplers.
+	// its NewSampler builds world samplers.
 	InferenceEngine = prob.Engine
 	// InferenceSampler draws possible worlds exactly from an engine's
 	// (optionally evidence-conditioned) distribution.
@@ -137,8 +138,9 @@ type (
 	// Database is an indexed probabilistic graph database.
 	Database = core.Database
 	// DatabaseView is one immutable, generation-numbered state of a
-	// Database: Database.View pins the current one, every query method
-	// exists on it, and no mutation ever changes a pinned view.
+	// Database: Database.View pins the current one, the query methods,
+	// accessors, and snapshot writers live on it, and no mutation ever
+	// changes a pinned view.
 	DatabaseView = core.View
 	// BuildOptions configures indexing (feature mining α/β/γ/maxL, PMI
 	// construction, OPT-SIPBound vs SIPBound).
@@ -207,35 +209,33 @@ func DefaultBuildOptions() BuildOptions { return core.DefaultBuildOptions() }
 // drops accumulated tombstones. All mutations are copy-on-write against
 // immutable views, so none of them ever blocks a running query.
 //
-// Database.QueryBatch (also on the aliased core type) answers many queries
-// over one bounded worker pool of QueryOptions.Concurrency goroutines,
-// sharing a feature-relation cache that amortizes the query-side feature
-// isomorphism tests across structurally overlapping queries. Query i runs
-// with the derived seed BatchSeed(Seed, i), so batching never changes an
-// individual query's result.
+// DatabaseView.QueryBatchCtx (on the aliased core type) answers many
+// queries over one bounded worker pool of QueryOptions.Concurrency
+// goroutines, sharing a feature-relation cache that amortizes the
+// query-side feature isomorphism tests across structurally overlapping
+// queries. Query i runs with the derived seed BatchSeed(Seed, i), so
+// batching never changes an individual query's result.
 
-// BatchSeed is the per-query seed Database.QueryBatch derives for the i-th
-// query of a batch; running Query with it reproduces that batch member.
+// BatchSeed is the per-query seed DatabaseView.QueryBatchCtx derives for
+// the i-th query of a batch; running QueryCtx with it reproduces that
+// batch member.
 func BatchSeed(seed int64, i int) int64 { return core.BatchSeed(seed, i) }
 
-// TopKItem is one ranked answer of Database.QueryTopK: the k graphs with
-// the highest subgraph similarity probability, verified in decreasing
-// upper-bound order with bound-based early termination.
+// TopKItem is one ranked answer of DatabaseView.QueryTopKCtx: the k
+// graphs with the highest subgraph similarity probability, verified in
+// decreasing upper-bound order with bound-based early termination.
 type TopKItem = core.TopKItem
 
-// Match is one incremental answer of Database.QueryStream: the matching
-// graph's database index and its SSP (-1 when the graph was admitted by a
-// lower bound without re-estimation, mirroring Result.SSP).
-//
-// Database.QueryCtx, QueryTopKCtx, QueryBatchCtx (on the aliased core
-// type) are the context-first forms of the query API; QueryStream(ctx, q,
-// opt) yields Matches in verification-arrival order as an
-// iter.Seq2[Match, error]. See the package comment's "Contexts and
+// Match is one incremental answer of DatabaseView.QueryStream: the
+// matching graph's database index and its SSP (-1 when the graph was
+// admitted by a lower bound without re-estimation, mirroring Result.SSP).
+// QueryStream yields Matches in verification-arrival order as an
+// iter.Seq2[Match, error]; see the package comment's "Contexts and
 // streaming" section for the cancellation and determinism contracts.
 type Match = core.Match
 
-// PMIIndex is the probabilistic matrix index; Database.PMI exposes it and
-// SavePMI/LoadPMI persist it independently of the data.
+// PMIIndex is the probabilistic matrix index; DatabaseView.PMI holds it
+// and PMIIndex.Save/LoadPMI persist it independently of the data.
 type PMIIndex = pmi.Index
 
 // LoadPMI reads an index written by (*PMIIndex).Save. Pair it only with
@@ -284,16 +284,16 @@ func SaveDataset(w io.Writer, db *Dataset) error { return dataset.Save(w, db) }
 // LoadDataset reads a dataset written by SaveDataset.
 func LoadDataset(r io.Reader) (*Dataset, error) { return dataset.Load(r) }
 
-// LoadDatabase reads a full-database snapshot written by Database.Save (on
-// the aliased core type): graphs, JPTs, mined features, structural filter,
+// LoadDatabase reads a full-database snapshot written by DatabaseView.Save
+// (on the aliased core type): graphs, JPTs, mined features, structural filter,
 // and PMI restore bitwise-identical, only the per-graph inference engines
 // are rebuilt. No feature mining or bound computation runs, which is what
 // lets a serving process (cmd/pgserve) start in parse time and answer
 // queries exactly as the database that wrote the snapshot would.
 func LoadDatabase(r io.Reader) (*Database, error) { return core.LoadDatabase(r) }
 
-// SnapshotFormat selects the on-disk snapshot encoding for SaveFile and
-// SaveAs (on the aliased core type): SnapshotText is the line-oriented v3
+// SnapshotFormat selects the on-disk snapshot encoding for
+// DatabaseView.SaveFile and SaveAs (on the aliased core type): SnapshotText is the line-oriented v3
 // format, SnapshotBinary the mmap-friendly v4 one. LoadDatabase and
 // OpenSnapshot sniff the format, so readers never choose.
 type SnapshotFormat = core.SnapshotFormat
@@ -316,8 +316,8 @@ func OpenSnapshot(path string) (*Database, error) { return core.OpenSnapshot(pat
 
 // PartitionRanges splits n database slots into the given number of
 // contiguous [lo, hi) ranges, as evenly as possible — the canonical
-// cluster partition rule behind Database.Partition / SaveRange (also on
-// the aliased core type) and pgproxy's sharded serving: each range is
+// cluster partition rule behind Database.Partition and SaveRangeFile (also
+// on the aliased core type) and pgproxy's sharded serving: each range is
 // saved as a read-only partition snapshot whose queries answer
 // bitwise-identically to the full database for the graphs it holds.
 func PartitionRanges(n, shards int) ([][2]int, error) { return core.PartitionRanges(n, shards) }
